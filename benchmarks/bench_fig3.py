@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim import mean
+from repro.obs.metrics import mean
 
 from conftest import run_figure
 

@@ -154,7 +154,7 @@ def main() -> None:
     subpackages = sorted(
         info.name
         for info in pkgutil.iter_modules(repro.__path__)
-        if info.ispkg
+        if not info.name.startswith("_")
     )
 
     if os.path.isdir(OUT_DIR):

@@ -3,7 +3,7 @@ Data Networks* (Zhuang et al., ICDCS 2008).
 
 A packet-level discrete-event simulation stack:
 
-* :mod:`repro.sim` — event kernel, timers, RNG streams, probes
+* :mod:`repro.sim` — event kernel, timers, RNG streams
 * :mod:`repro.net` — hosts, wired links, shared wireless channel with BER,
   Internet core, Netfilter hooks, mobility (IP renumbering)
 * :mod:`repro.tcp` — bi-directional TCP with NewReno congestion control

@@ -8,8 +8,8 @@ time spans, timeline excerpts, and — when a
 per-layer metric tables.
 
 This is the reading half of the observability layer: instrument a run
-(``python -m repro.experiments fig8a --trace run.jsonl`` or
-:func:`repro.obs.tracing.capture`), then::
+(``python -m repro.experiments run fig8a --no-cache --trace run.jsonl``
+or :func:`repro.obs.tracing.capture`), then::
 
     python scripts/run_report.py run.jsonl -o run.md
 

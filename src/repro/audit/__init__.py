@@ -19,18 +19,16 @@ because components register themselves at construction)::
     ...build and run...
     auditor.sweep()          # also runs automatically during run()
 
-Globally, for code that builds its simulators internally — the pattern
-the CLI's ``--audit`` flag and the :class:`~repro.runner.Runner` use::
+Around code that builds its simulators internally::
 
     from repro import audit
 
-    audit.install()          # every new Simulator gets an Auditor
-    try:
+    with audit.audited() as auditors:   # every new Simulator gets an Auditor
         run_transfer(seed=3, ber=1e-5, bidirectional=True)
-    finally:
-        audit.uninstall()
 
-or equivalently ``with audit.audited(): ...``.  Auditing is **off by
+The block sets the ``audit`` field of the run context
+(:mod:`repro.context`), exactly as the CLI's ``--audit`` flag and
+``Runner(audit=True)`` do around every cell.  Auditing is **off by
 default** and costs one ``is None`` check per event / per instrumented
 constructor when off.  When on, a failed invariant raises
 :class:`AuditViolation` at the exact simulated moment the inconsistency
@@ -40,8 +38,9 @@ is observed.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
+from ..context import RunContext, current_context, layered
 from .auditor import AuditViolation, Auditor, Violation
 
 __all__ = [
@@ -50,66 +49,18 @@ __all__ = [
     "Violation",
     "apply_defaults",
     "audited",
-    "install",
-    "installed",
-    "uninstall",
 ]
 
 
-# ----------------------------------------------------------------------
-# Global defaults: every new Simulator gets its own Auditor.
-# ----------------------------------------------------------------------
-_default_options: Optional[Dict[str, object]] = None
-_auditors: List[Auditor] = []
-
-
-def install(
-    raise_on_violation: bool = True,
-    sweep_interval: int = 256,
-    max_violations: int = 1000,
-) -> None:
-    """Audit every *new* simulator until :func:`uninstall`.
-
-    Each simulator created while installed gets its **own**
-    :class:`Auditor` (invariants are per-run; auditors never outlive
-    their topology).  Already-created simulators are unaffected.
-    """
-    global _default_options
-    _default_options = {
-        "raise_on_violation": raise_on_violation,
-        "sweep_interval": sweep_interval,
-        "max_violations": max_violations,
-    }
-    _auditors.clear()
-
-
-def uninstall() -> None:
-    """Stop auditing new simulators (attached auditors keep working).
-
-    The created-auditor list survives until the next :func:`install`, so
-    ``with audited(...) as auditors:`` blocks can inspect violations
-    after the context exits.
-    """
-    global _default_options
-    _default_options = None
-
-
-def installed() -> bool:
-    """True when new simulators are being audited."""
-    return _default_options is not None
-
-
-def auditors() -> List[Auditor]:
-    """Auditors created for simulators built since :func:`install`."""
-    return list(_auditors)
-
-
 def apply_defaults(sim) -> Optional[Auditor]:
-    """Kernel hook: attach a fresh auditor to ``sim`` when installed."""
-    if _default_options is None:
+    """Kernel hook: attach a fresh auditor to ``sim`` when the run
+    context asks for auditing (each simulator gets its **own**)."""
+    context = current_context()
+    if context.audit is None:
         return None
-    auditor = Auditor(**_default_options).attach(sim)
-    _auditors.append(auditor)
+    auditor = Auditor(**context.audit).attach(sim)
+    if context.auditors is not None:
+        context.auditors.append(auditor)
     return auditor
 
 
@@ -117,12 +68,11 @@ def apply_defaults(sim) -> Optional[Auditor]:
 def audited(**options) -> Iterator[List[Auditor]]:
     """Audit every simulator created inside the block.
 
-    Yields the (live) list of created auditors, so callers running in
-    collect mode (``raise_on_violation=False``) can inspect
-    ``auditor.violations`` afterwards.
+    ``options`` are :class:`Auditor` arguments.  Yields the (live) list
+    of created auditors, so callers running in collect mode
+    (``raise_on_violation=False``) can inspect ``auditor.violations``
+    afterwards.
     """
-    install(**options)
-    try:
-        yield _auditors
-    finally:
-        uninstall()
+    auditors: List[Auditor] = []
+    with layered(RunContext(audit=dict(options), auditors=auditors)):
+        yield auditors

@@ -73,8 +73,8 @@ class Auditor(TraceSink):
     >>> auditor.sweep()                  # doctest: +SKIP
 
     Attach **before** building the topology: components register with
-    ``sim.audit`` in their constructors.  (The :func:`repro.audit.install`
-    globals do this automatically for every new simulator.)
+    ``sim.audit`` in their constructors.  (:func:`repro.audit.audited`
+    does this automatically for every new simulator.)
     """
 
     def __init__(
@@ -150,9 +150,6 @@ class Auditor(TraceSink):
     # ------------------------------------------------------------------
     # Component registration (called from constructors)
     # ------------------------------------------------------------------
-    def register_queue(self, queue) -> None:
-        self.queues.append(queue)
-
     def register_direction(self, direction) -> None:
         self.directions.append(direction)
         self.queues.append(direction.queue)

@@ -136,7 +136,7 @@ def check_channel(ch) -> Iterator[str]:
 # ----------------------------------------------------------------------
 def check_bucket(b) -> Iterator[str]:
     """Token bucket: tokens always within ``[0, burst]``, sane config."""
-    tokens = b.tokens  # lazy refill is idempotent: same value either way
+    tokens = b.tokens
     if tokens < -EPS:
         yield f"token bucket: negative balance {tokens}"
     if tokens > b.burst + EPS:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator
 
 
 class Bitfield:
@@ -36,8 +36,8 @@ class Bitfield:
 
     # ------------------------------------------------------------------
     # set/has/clear sit on the piece-selection hot path (hundreds of
-    # thousands of calls per packet-level run), so the bounds check is
-    # inlined rather than delegated to _check().
+    # thousands of calls per packet-level run), so each inlines its own
+    # bounds check.
     def set(self, index: int) -> None:
         if index < 0 or index >= self.size:
             raise IndexError(f"piece index {index} out of range (size {self.size})")
@@ -91,13 +91,6 @@ class Bitfield:
         bf._num_set = self._num_set
         return bf
 
-    def intersection_count(self, other: "Bitfield") -> int:
-        if other.size != self.size:
-            raise ValueError("bitfield size mismatch")
-        a = int.from_bytes(self._bits, "big")
-        b = int.from_bytes(other._bits, "big")
-        return (a & b).bit_count()
-
     def has_piece_other_is_missing(self, other: "Bitfield") -> bool:
         """True if we hold any piece ``other`` lacks (interest test)."""
         if other.size != self.size:
@@ -121,10 +114,3 @@ class Bitfield:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bitfield({self.count()}/{self.size})"
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(f"piece index {index} out of range (size {self.size})")
-
-    def to_index_list(self) -> List[int]:
-        return list(self.indices())

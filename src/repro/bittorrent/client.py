@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..net.host import Host
-from ..sim import Counter, PeriodicTask, Simulator
+from ..obs.metrics import Counter
+from ..sim import PeriodicTask, Simulator
 from ..strategy import ClientStrategy, resolve_strategy
 from ..tcp.connection import TCPConnection
 from ..tcp.stack import TCPStack
@@ -197,8 +198,8 @@ class BitTorrentClient:
         self._upload_queue: Deque[Tuple[PeerConnection, Request]] = deque()
         self._pump_event = None
 
-        self.downloaded = Counter(sim, f"{self.name}.down", record_history=True)
-        self.uploaded = Counter(sim, f"{self.name}.up", record_history=True)
+        self.downloaded = Counter(f"{self.name}.down", lambda: sim.now, record_history=True)
+        self.uploaded = Counter(f"{self.name}.up", lambda: sim.now, record_history=True)
         self.completion_time: Optional[float] = None
         self.task_restarts = 0
         self.announce_count = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..sim import RateMeter
+from ..obs.metrics import WindowRateMeter
 from ..tcp.connection import TCPConnection
 from .bitfield import Bitfield
 from .messages import (
@@ -62,8 +62,9 @@ class PeerConnection:
         self.registered = False
 
         window = client.config.rate_window
-        self.download_meter = RateMeter(self.sim, window=window)
-        self.upload_meter = RateMeter(self.sim, window=window)
+        sim = self.sim
+        self.download_meter = WindowRateMeter(clock=lambda: sim.now, window=window)
+        self.upload_meter = WindowRateMeter(clock=lambda: sim.now, window=window)
         self.outstanding: Dict[BlockKey, float] = {}  # our pending requests
         self.blocks_uploaded = 0
         self.blocks_downloaded = 0

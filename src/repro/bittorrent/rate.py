@@ -95,5 +95,13 @@ class TokenBucket:
 
     @property
     def tokens(self) -> float:
-        self._refill()
+        """Tokens on hand now.
+
+        A pure read: the refill is computed, not committed, so an
+        observer (the audit's bucket checker) cannot split one refill
+        ``a + (x + y) * r`` into ``(a + x * r) + y * r`` and move the
+        bucket by a rounding step.
+        """
+        if self.rate:
+            return min(self.burst, self._tokens + (self.sim._now - self._last) * self.rate)
         return self._tokens

@@ -14,6 +14,7 @@ from .. import chaos as chaos_defaults
 from .. import coding as coding_defaults
 from .. import strategy as strategy_defaults
 from ..chaos import ChaosController, ChaosSchedule
+from ..context import current_context
 from ..net import (
     AddressAllocator,
     Host,
@@ -88,29 +89,25 @@ class SwarmScenario:
             tracker_port=self.tracker.port,
         )
         self.peers: Dict[str, PeerHandle] = {}
-        #: armed fault-injection controller, if any (see repro.chaos)
-        self.chaos: Optional[ChaosController] = None
-        applied = chaos_defaults.apply_defaults(self)
-        if applied is not None:
-            self.chaos = applied
-        #: canonical strategy mix peers draw from, if any (repro.strategy)
+        #: armed fault-injection controller, if any (see repro.chaos); the
+        #: run context's preset is armed here, before any add_chaos().
+        self.chaos: Optional[ChaosController] = chaos_defaults.apply_defaults(self)
+        context = current_context()
+        #: canonical strategy mix peers draw from, if any (repro.strategy).
+        #: An explicit argument beats the run context's mix.
         self.strategy_mix = None
         self._strategy_assigner: Optional[strategy_defaults.MixAssigner] = None
-        mix = (
-            strategy_mix
-            if strategy_mix is not None
-            else strategy_defaults.ambient_mix()
-        )
+        mix = strategy_mix if strategy_mix is not None else context.strategies
         if mix:
             normalized = strategy_defaults.normalize_mix(mix)
             if not strategy_defaults.mix_is_default(normalized):
                 self.strategy_mix = normalized
                 self._strategy_assigner = strategy_defaults.MixAssigner(normalized)
         #: canonical content mode, if non-default (repro.coding).  Explicit
-        #: beats the ambient install; plain replication stays ``None`` so
-        #: every peer keeps the historical trivial-codec fast path.
+        #: beats the run context's mode; plain replication stays ``None``
+        #: so every peer keeps the historical trivial-codec fast path.
         self.content = None
-        spec = content if content is not None else coding_defaults.ambient_content()
+        spec = content if content is not None else context.content
         if spec is not None:
             normalized_content = coding_defaults.normalize_content(spec)
             if not coding_defaults.content_is_default(normalized_content):

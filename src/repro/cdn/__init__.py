@@ -12,23 +12,18 @@ placement/retention policies (:mod:`repro.cdn.origin`).  The fluid
 backend gets a per-asset-class surrogate (:mod:`repro.cdn.surrogate`)
 so 10^4-asset catalogs integrate in microseconds.
 
-The **workload axis** threads the spec/runner/CLI stack exactly like
-``backend``/``strategies``/``content``: a canonical
+The **workload** run axis (:mod:`repro.runner.axes`) is a canonical
 ``{"catalog": ..., "demand": ..., "origin": ...}`` mapping, validated
-eagerly by :func:`normalize_workload`, installed ambiently around every
-cell by ``Runner(workload=...)`` (the CLI's ``--catalog``/``--demand``),
-and folded into spec hashes and cell digests **only when non-default**
-— every pre-CDN digest stays byte-identical.
+eagerly by :func:`normalize_workload`, set around every cell by
+``Runner(workload=...)`` (the CLI's ``--catalog``/``--demand``), and
+folded into spec hashes and cell digests **only when non-default** —
+every pre-CDN digest stays byte-identical.  The run context's workload
+beats a scenario's own catalog/demand/origin arguments::
 
-Ambient use, mirroring :mod:`repro.chaos` and :mod:`repro.coding`::
+    from repro.runner import run_context
 
-    from repro import cdn
-
-    cdn.install({"catalog": "assets:16", "demand": "zipf:1.2"})
-    try:
+    with run_context(workload={"catalog": "assets:16", "demand": "zipf:1.2"}):
         run_scenario(...)   # every CdnScenario serves this workload
-    finally:
-        cdn.uninstall()
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from .demand import (
     DemandSpec,
     Request,
     ZipfDemand,
-    demand_label,
     normalize_demand,
     zipf_weights,
 )
@@ -70,19 +64,13 @@ __all__ = [
     "Request",
     "WorkloadSpec",
     "ZipfDemand",
-    "ambient_workload",
     "cdn_fluid_cell",
-    "demand_label",
-    "install",
-    "installed",
     "normalize_catalog",
     "normalize_demand",
     "normalize_origin",
     "normalize_workload",
     "rank_bands",
-    "uninstall",
     "workload_is_default",
-    "workload_label",
     "zipf_weights",
 ]
 
@@ -127,55 +115,3 @@ def normalize_workload(spec: WorkloadSpec) -> Optional[Dict[str, object]]:
 def workload_is_default(workload: Optional[Mapping[str, object]]) -> bool:
     """True when the workload changes nothing (no ambient axes set)."""
     return workload is None or not dict(workload)
-
-
-def workload_label(spec: WorkloadSpec) -> str:
-    """Compact human-readable form of a workload spec."""
-    norm = normalize_workload(spec)
-    if norm is None:
-        return "default"
-    parts = []
-    catalog = norm.get("catalog")
-    if catalog is not None:
-        parts.append(f"catalog[{catalog['assets']}x{catalog['size_kib']}KiB]")  # type: ignore[index]
-    demand = norm.get("demand")
-    if demand is not None:
-        parts.append(demand_label(demand))
-    origin = norm.get("origin")
-    if origin is not None:
-        parts.append(str(origin["policy"]))  # type: ignore[index]
-    return "+".join(parts)
-
-
-# ----------------------------------------------------------------------
-# Global default: every new CdnScenario (and fluid surrogate cell) gets
-# the installed workload (the worker-process hook behind
-# Runner(workload=...)).
-# ----------------------------------------------------------------------
-_default_workload: Optional[Dict[str, object]] = None
-
-
-def install(workload: WorkloadSpec) -> None:
-    """Give every *new* CDN scenario this workload until :func:`uninstall`.
-
-    The spec is validated eagerly; installing an empty workload is a
-    no-op (scenarios keep their own parameters).
-    """
-    global _default_workload
-    _default_workload = normalize_workload(workload)
-
-
-def uninstall() -> None:
-    """Stop injecting a workload into new CDN scenarios."""
-    global _default_workload
-    _default_workload = None
-
-
-def installed() -> bool:
-    """True when new CDN scenarios get a non-default workload."""
-    return not workload_is_default(_default_workload)
-
-
-def ambient_workload() -> Optional[Dict[str, object]]:
-    """The installed canonical workload, or None."""
-    return dict(_default_workload) if _default_workload is not None else None

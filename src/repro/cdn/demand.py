@@ -255,16 +255,3 @@ class ZipfDemand:
                 )
         out.sort(key=lambda r: (r.time, r.peer, r.rank))
         return out
-
-
-def demand_label(spec: DemandSpec) -> str:
-    """Compact human-readable form of a canonical demand spec."""
-    norm = normalize_demand(spec)
-    label = f"zipf:{norm['alpha']:g}@{norm['rate']:g}"
-    if "flash_crowd" in norm:
-        flash = norm["flash_crowd"]
-        label += f"+flash(r{flash['rank']}x{flash['size']}@{flash['at']:g}s)"  # type: ignore[index]
-    if "daily_cycle" in norm:
-        cycle = norm["daily_cycle"]
-        label += f"+cycle({cycle['depth']:g}/{cycle['period']:g}s)"  # type: ignore[index]
-    return label

@@ -11,10 +11,10 @@ one :class:`~repro.bittorrent.rate.TokenBucket` across every swarm the
 peer serves, one access link (wired) or one wireless channel (mobile)
 under all of its connections.
 
-Ambient workload resolution follows the chaos convention: an installed
-:func:`repro.cdn.ambient_workload` (the Runner's ``workload=`` axis, the
-CLI's ``--catalog``/``--demand``) takes precedence over constructor
-arguments, so one flag retargets every scenario in a campaign.
+The run context's workload (:mod:`repro.context`; the Runner's
+``workload=`` axis, the CLI's ``--catalog``/``--demand``) takes
+precedence over constructor arguments, so one flag retargets every
+scenario in a campaign.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from ..bittorrent.client import BitTorrentClient, ClientConfig
 from ..bittorrent.metainfo import Torrent
 from ..bittorrent.rate import TokenBucket
 from ..bittorrent.tracker import Tracker
+from ..context import current_context
 from ..net import (
     AddressAllocator,
     Host,
@@ -74,9 +75,6 @@ class CdnPeer:
     def uploaded_bytes(self) -> float:
         return float(sum(c.uploaded.total for c in self.clients.values()))
 
-    def downloaded_bytes(self) -> float:
-        return float(sum(c.downloaded.total for c in self.clients.values()))
-
 
 class CdnScenario:
     """A P2P CDN testbed: N asset swarms, one origin, shared-uplink peers."""
@@ -100,12 +98,10 @@ class CdnScenario:
         tracker_interval: float = 60.0,
         client_config: Optional[ClientConfig] = None,
     ) -> None:
-        # Ambient workload (Runner --catalog/--demand) beats constructor
-        # arguments — the chaos convention, so one flag retargets every
-        # scenario in a campaign.
-        from . import ambient_workload
-
-        ambient = ambient_workload()
+        # The run context's workload (Runner --catalog/--demand) beats
+        # constructor arguments, so one flag retargets every scenario in
+        # a campaign.
+        ambient = current_context().workload
         if ambient is not None:
             catalog = ambient.get("catalog", catalog)
             demand = ambient.get("demand", demand)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..context import current_context
 from ..scale.assets import AssetClassParams, asset_class_outcome
 from ..scale.model import PeerClass
 from .catalog import normalize_catalog
@@ -72,9 +73,7 @@ def cdn_fluid_cell(
     :meth:`repro.cdn.scenario.CdnScenario.results`, so scenarios can
     assemble either backend's values identically.
     """
-    from . import ambient_workload
-
-    ambient = ambient_workload()
+    ambient = current_context().workload
     if ambient is not None:
         catalog = ambient.get("catalog", catalog)
         demand = ambient.get("demand", demand)

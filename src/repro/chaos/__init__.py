@@ -9,7 +9,7 @@ a schedule-fixed simulated time, with any randomness drawn from the
 simulation's seeded RNG streams, so a chaos run is exactly as
 reproducible (and cacheable) as a clean one.
 
-Two ways to use it, mirroring :mod:`repro.audit`:
+Two ways to use it:
 
 Explicitly, on one scenario::
 
@@ -21,27 +21,24 @@ Explicitly, on one scenario::
     swarm.start_all()
     swarm.run(until=300.0)
 
-Globally, for code that builds its scenarios internally — the pattern
-the CLI's ``--chaos`` flag and the :class:`~repro.runner.Runner` use::
+Through the ``chaos`` axis of the run context (:mod:`repro.context`),
+for code that builds its scenarios internally — what the CLI's
+``--chaos`` flag and ``Runner(chaos=...)`` set around every cell::
 
-    from repro import chaos
+    from repro.runner import run_context
 
-    chaos.install("blackout", intensity=2.0)
-    try:
+    with run_context(chaos="blackout", chaos_intensity=2.0):
         run_scenario(...)        # every new SwarmScenario gets the schedule
-    finally:
-        chaos.uninstall()
 
-or equivalently ``with chaos.unleashed("blackout", intensity=2.0): ...``.
 Chaos is **off by default** and costs one ``is None`` check per scenario
 constructed when off.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Optional
 
+from ..context import current_context
 from .controller import ChaosController
 from .presets import PRESET_NAMES, PRESETS, preset_schedule
 from .recovery import OpenFault, Recovery, RecoveryTracker
@@ -74,99 +71,24 @@ __all__ = [
     "RecoveryTracker",
     "TrackerOutage",
     "apply_defaults",
-    "controllers",
-    "install",
-    "installed",
     "preset_schedule",
-    "uninstall",
-    "unleashed",
 ]
 
 
-# ----------------------------------------------------------------------
-# Global defaults: every new SwarmScenario gets the installed schedule.
-# ----------------------------------------------------------------------
-_default_options: Optional[Dict[str, object]] = None
-_controllers: List[ChaosController] = []
-
-
-def install(
-    preset: str = "mixed", intensity: float = 1.0, horizon: float = 300.0
-) -> None:
-    """Inject the preset into every *new* scenario until :func:`uninstall`.
-
-    Each :class:`~repro.bittorrent.swarm.SwarmScenario` built while
-    installed gets its **own** armed :class:`ChaosController` carrying
-    ``preset_schedule(preset, intensity, horizon)``.  Already-built
-    scenarios are unaffected.  The preset name is validated eagerly.
-    """
-    global _default_options
-    # Validate up front so a typo fails at install time, not mid-run.
-    preset_schedule(preset, intensity, horizon)
-    _default_options = {
-        "preset": preset,
-        "intensity": intensity,
-        "horizon": horizon,
-    }
-    _controllers.clear()
-
-
-def uninstall() -> None:
-    """Stop injecting into new scenarios (armed controllers keep going).
-
-    The created-controller list survives until the next :func:`install`,
-    so ``with unleashed(...) as controllers:`` blocks can inspect fault
-    logs after the context exits.
-    """
-    global _default_options
-    _default_options = None
-
-
-def installed() -> bool:
-    """True when new scenarios get chaos injected."""
-    return _default_options is not None
-
-
-def options() -> Optional[Dict[str, object]]:
-    """The installed ``{preset, intensity, horizon}``, or None."""
-    return dict(_default_options) if _default_options is not None else None
-
-
-def controllers() -> List[ChaosController]:
-    """Controllers created for scenarios built since :func:`install`."""
-    return list(_controllers)
-
-
 def apply_defaults(scenario) -> Optional[ChaosController]:
-    """Scenario hook: attach + arm a controller when installed.
+    """Scenario hook: attach + arm a controller when the run context
+    carries a chaos preset.
 
     Called by ``SwarmScenario.__init__``; the schedule is regenerated
-    per scenario from the installed options so each run draws its own
-    seeded churn arrivals.
+    per scenario from the context's ``{preset, intensity, horizon}`` so
+    each run draws its own seeded churn arrivals.
     """
-    if _default_options is None:
+    options = current_context().chaos
+    if options is None:
         return None
     schedule = preset_schedule(
-        str(_default_options["preset"]),
-        float(_default_options["intensity"]),   # type: ignore[arg-type]
-        float(_default_options["horizon"]),     # type: ignore[arg-type]
+        str(options["preset"]),
+        float(options["intensity"]),   # type: ignore[arg-type]
+        float(options["horizon"]),     # type: ignore[arg-type]
     )
-    controller = ChaosController(scenario, schedule).arm()
-    _controllers.append(controller)
-    return controller
-
-
-@contextmanager
-def unleashed(
-    preset: str = "mixed", intensity: float = 1.0, horizon: float = 300.0
-) -> Iterator[List[ChaosController]]:
-    """Inject chaos into every scenario created inside the block.
-
-    Yields the (live) list of created controllers so callers can inspect
-    ``controller.log`` / ``controller.faults_injected`` afterwards.
-    """
-    install(preset, intensity=intensity, horizon=horizon)
-    try:
-        yield _controllers
-    finally:
-        uninstall()
+    return ChaosController(scenario, schedule).arm()

@@ -8,22 +8,22 @@ availability estimation — selectable next to rarest-first/sequential/MA
 through a ``content`` axis that threads the spec/runner/CLI stack just
 like ``backend`` and ``strategies``.
 
-Two ways to use it, mirroring :mod:`repro.chaos`:
+Two ways to use it:
 
 Explicitly, on one scenario::
 
     swarm = SwarmScenario(seed=7, content={"mode": "group", "k": 4, "n": 6})
 
-Globally, for code that builds scenarios internally — the pattern the
-CLI's ``--content`` flag and the :class:`~repro.runner.Runner` use::
+Through the ``content`` axis of the run context (:mod:`repro.context`),
+for code that builds scenarios internally — what the CLI's ``--content``
+flag and ``Runner(content=...)`` set around every cell::
 
-    from repro import coding
+    from repro.runner import run_context
 
-    coding.install("group:4/6")
-    try:
+    with run_context(content="group:4/6"):
         run_scenario(...)       # every new SwarmScenario codes its content
-    finally:
-        coding.uninstall()
+
+A scenario's own ``content`` argument beats the context's.
 
 Content is **replication by default** — the default codec keeps the
 piece pipeline on its historical fast path and cell digests
@@ -31,8 +31,6 @@ byte-identical to the pre-codec era.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 from .codec import (
     DEFAULT_K,
@@ -58,47 +56,10 @@ __all__ = [
     "GroupCodec",
     "MODES",
     "ReplicationCodec",
-    "ambient_content",
     "coded_file_size",
     "content_is_default",
     "content_label",
     "custody_column",
-    "install",
-    "installed",
     "make_codec",
     "normalize_content",
-    "uninstall",
 ]
-
-
-# ----------------------------------------------------------------------
-# Global default: every new SwarmScenario gets the installed content
-# mode (the worker-process hook behind Runner(content=...)).
-# ----------------------------------------------------------------------
-_default_content: Optional[Dict[str, object]] = None
-
-
-def install(content: ContentSpec) -> None:
-    """Give every *new* scenario this content mode until :func:`uninstall`.
-
-    The spec is validated eagerly; installing plain replication is a
-    no-op mode (scenarios treat it as the default pipeline).
-    """
-    global _default_content
-    _default_content = normalize_content(content)
-
-
-def uninstall() -> None:
-    """Stop injecting a content mode into new scenarios."""
-    global _default_content
-    _default_content = None
-
-
-def installed() -> bool:
-    """True when new scenarios get a non-default content mode."""
-    return _default_content is not None and not content_is_default(_default_content)
-
-
-def ambient_content() -> Optional[Dict[str, object]]:
-    """The installed canonical content spec, or None."""
-    return dict(_default_content) if _default_content is not None else None

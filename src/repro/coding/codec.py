@@ -197,9 +197,6 @@ class GroupCodec:
         self.source_size = sum(self._source_bytes)
 
     # -- geometry ------------------------------------------------------
-    def group_of(self, index: int) -> int:
-        return index // self.n
-
     def group_indices(self, group: int) -> range:
         lo = group * self.n
         return range(lo, min(lo + self.n, self.torrent.num_pieces))

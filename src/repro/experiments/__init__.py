@@ -1,25 +1,29 @@
-"""Experiment reproductions — one function per figure of the paper.
+"""Experiment reproductions — one registered scenario per figure.
 
-========  ==========================================  =====================
-figure    content                                     function
-========  ==========================================  =====================
-2(a)      bi- vs uni-TCP throughput over BER          :func:`fig2a`
-2(b, c)   wireless-leg packets around congestion      :func:`fig2bc`
-3(a)      download vs upload cap, wired               :func:`fig3a`
-3(b)      download vs upload cap, wireless            :func:`fig3b`
-3(c)      incentives x mobility download progress     :func:`fig3c`
-4(a)      server mobility vs fixed-peer throughput    :func:`fig4a`
-4(b, c)   rarest-first playability (20/400 pieces)    :func:`fig4bc`
-8(a)      AM vs default over BER                      :func:`fig8a`
-8(b)      identity retention under mobility           :func:`fig8b`
-8(c)      LIHD vs bandwidth                           :func:`fig8c`
-9(a, b)   mobility-aware fetching playability         :func:`fig9ab`
-9(c)      role reversal upload throughput             :func:`fig9c`
-========  ==========================================  =====================
+========  ==========================================  =================
+figure    content                                     scenario
+========  ==========================================  =================
+2(a)      bi- vs uni-TCP throughput over BER          ``fig2a``
+2(b, c)   wireless-leg packets around congestion      ``fig2bc``
+3(a)      download vs upload cap, wired               ``fig3a``
+3(b)      download vs upload cap, wireless            ``fig3b``
+3(c)      incentives x mobility download progress     ``fig3c``
+4(a)      server mobility vs fixed-peer throughput    ``fig4a``
+4(b, c)   rarest-first playability (20/400 pieces)    ``fig4bc``
+8(a)      AM vs default over BER                      ``fig8a``
+8(b)      identity retention under mobility           ``fig8b``
+8(c)      LIHD vs bandwidth                           ``fig8c``
+9(a, b)   mobility-aware fetching playability         ``fig9ab``
+9(c)      role reversal upload throughput             ``fig9c``
+========  ==========================================  =================
 
-Each returns an :class:`repro.analysis.ExperimentResult` whose ``table()``
-prints the same rows/series the paper plots, alongside the paper's
-qualitative expectation.
+Importing this package registers every scenario (plus the ``figx_*``
+extensions) with :mod:`repro.runner`; run one with
+``run_scenario("fig2a", {"runs": 2})`` or
+``python -m repro.experiments run fig2a``.  Each assembles an
+:class:`repro.analysis.ExperimentResult` whose ``table()`` prints the
+same rows/series the paper plots, alongside the paper's qualitative
+expectation.
 """
 
 from .base import (
@@ -27,69 +31,47 @@ from .base import (
     Payload,
     TransferStats,
     WirelessPairTopology,
-    mean_over_seeds,
     random_piece_subset,
     run_transfer,
 )
 from .fig2_bitcp import (
     cluster_drops,
     drop_response_ratio,
-    fig2a,
-    fig2bc,
     post_congestion_starvation,
 )
-from .fig3_incentives import fig3a, fig3b, fig3c
-from .fig4_mobility import fig4a, fig4bc, playability_run
-from .fig8_wp2p import am_only_config, fig8a, fig8b, fig8c, ia_config
-from .fig9_wp2p import fig9ab, fig9c, mf_only_config, rr_only_config
-from .figx_arena import arena_run, figx_arena
-from .figx_cdn import cdn_fluid_run, cdn_run, figx_cdn
-from .figx_chaos import chaos_run, figx_chaos
-from .figx_erasure import erasure_run, erasure_schedule, figx_erasure
-from .figx_hybrid import figx_hybrid, hybrid_cell
-from .figx_scale import figx_scale, fluid_cell, packet_cell
+from . import fig3_incentives  # noqa: F401  (registers fig3a/b/c)
+from .fig4_mobility import playability_run
+from .fig8_wp2p import am_only_config, ia_config
+from .fig9_wp2p import mf_only_config, rr_only_config
+from .figx_arena import arena_run
+from .figx_cdn import cdn_fluid_run, cdn_run
+from .figx_chaos import chaos_run
+from .figx_erasure import erasure_run, erasure_schedule
+from .figx_hybrid import hybrid_cell
+from .figx_scale import fluid_cell, packet_cell
 
 __all__ = [
     "BulkSender",
     "Payload",
     "TransferStats",
     "WirelessPairTopology",
-    "mean_over_seeds",
     "random_piece_subset",
     "run_transfer",
     "cluster_drops",
     "drop_response_ratio",
-    "fig2a",
-    "fig2bc",
     "post_congestion_starvation",
-    "fig3a",
-    "fig3b",
-    "fig3c",
-    "fig4a",
-    "fig4bc",
     "playability_run",
     "am_only_config",
     "ia_config",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig9ab",
-    "fig9c",
     "mf_only_config",
     "rr_only_config",
     "arena_run",
-    "figx_arena",
     "cdn_fluid_run",
     "cdn_run",
-    "figx_cdn",
     "chaos_run",
     "erasure_run",
     "erasure_schedule",
-    "figx_chaos",
-    "figx_erasure",
-    "figx_hybrid",
     "hybrid_cell",
-    "figx_scale",
     "fluid_cell",
     "packet_cell",
 ]

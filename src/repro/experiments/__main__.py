@@ -1,6 +1,6 @@
 """Command-line runner for the figure reproductions.
 
-New-style usage (the scenario registry + parallel runner)::
+Usage (the scenario registry + parallel runner)::
 
     python -m repro.experiments list                 # what can I run?
     python -m repro.experiments list --json
@@ -8,12 +8,11 @@ New-style usage (the scenario registry + parallel runner)::
     python -m repro.experiments run fig4bc --num-pieces 400 --json
     python -m repro.experiments run all --jobs 8 --no-cache
     python -m repro.experiments run fig3a --set runs=2 --set duration=10
+    python -m repro.experiments run all --chart --no-cache --trace run.jsonl
 
-Legacy spellings keep working (serial, uncached, exactly as before)::
-
-    python -m repro.experiments fig2a
-    python -m repro.experiments fig4bc --num-pieces 400
-    python -m repro.experiments all --chart --trace run.jsonl
+Every run axis (:data:`repro.runner.axes.AXES`: ``--backend``,
+``--audit``, ``--chaos``, ``--strategy-mix``, ``--content``,
+``--catalog``/``--demand`` ...) registers its own flags.
 
 ``run`` caches each simulated cell on disk keyed by (scenario, params,
 seed, code version); a re-run with nothing changed executes zero
@@ -31,19 +30,18 @@ from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from ..runner import (
-    BACKENDS,
+    AXES,
     Runner,
     ResultCache,
     UnknownScenarioError,
     default_cache_dir,
     get_scenario,
     print_progress,
-    run_scenario,
     scenario_names,
 )
 
-# Legacy `all` order (the pre-registry CLI ran the simple figures first,
-# then the piecewise ones); kept stable so logs remain comparable.
+# `all` order (the simple figures first, then the piecewise ones); kept
+# stable so logs remain comparable.
 ALL_ORDER: List[str] = [
     "fig2a", "fig2bc", "fig3a", "fig3b", "fig3c", "fig4a",
     "fig8a", "fig8b", "fig8c", "fig9c", "fig4bc", "fig9ab",
@@ -90,34 +88,6 @@ def _overrides_for(name: str, num_pieces: Optional[int],
     return overrides
 
 
-def _workload_for(args, sets: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """Build the Runner's workload axis from --catalog / --demand.
-
-    The ambient workload takes precedence over scenario parameters, so a
-    flag *and* a ``--set`` spelling of the same axis is a contradiction
-    (one of the two values would be silently discarded) — same policy as
-    :func:`_overrides_for`, erroring out beats guessing.
-    """
-    workload: Dict[str, object] = {}
-    for key, value, flag in (
-        ("catalog", args.catalog, "--catalog"),
-        ("demand", args.demand, "--demand"),
-    ):
-        if value is None:
-            continue
-        if key in sets:
-            raise SystemExit(
-                f"error: {flag} conflicts with --set {key}=...; "
-                f"pass one or the other"
-            )
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value  # CLI-string form, e.g. 'zipf:1.1@0.2'
-        workload[key] = parsed
-    return workload or None
-
-
 def _parse_set(pairs: List[str]) -> Dict[str, object]:
     """``key=value`` pairs; values are parsed as JSON, else kept as strings."""
     out: Dict[str, object] = {}
@@ -130,41 +100,6 @@ def _parse_set(pairs: List[str]) -> Dict[str, object]:
         except json.JSONDecodeError:
             out[key] = raw
     return out
-
-
-def _parse_strategy_mix(text: Optional[str]) -> Optional[Dict[str, object]]:
-    """``--strategy-mix``: JSON, or ``[pop:]name=frac`` comma pairs.
-
-    ``freerider=0.25`` targets the whole population;
-    ``mobile:freerider=0.5,wired:tyrant=0.2`` targets populations.
-    Validation of names/fractions happens in the Runner (repro.strategy).
-    """
-    if text is None:
-        return None
-    try:
-        parsed = json.loads(text)
-    except json.JSONDecodeError:
-        parsed = {}
-        for part in text.split(","):
-            key, sep, raw = part.strip().partition("=")
-            if not sep or not key:
-                raise SystemExit(
-                    f"--strategy-mix expects JSON or name=frac pairs, got {part!r}"
-                )
-            try:
-                fraction = float(raw)
-            except ValueError:
-                raise SystemExit(
-                    f"--strategy-mix fraction must be a number, got {raw!r}"
-                ) from None
-            population, colon, name = key.partition(":")
-            if colon:
-                parsed.setdefault(population.strip(), {})[name.strip()] = fraction
-            else:
-                parsed[key.strip()] = fraction
-    if not isinstance(parsed, dict):
-        raise SystemExit("--strategy-mix must be a JSON object or name=frac pairs")
-    return parsed
 
 
 def _resolve_names(figure: str) -> List[str]:
@@ -182,35 +117,11 @@ def _resolve_names(figure: str) -> List[str]:
     return [figure]
 
 
-def run_one(
-    name: str, num_pieces: int = 20, chart: bool = False, audit: bool = False
-) -> int:
-    """Legacy front door: run one figure serially and print its table.
-
-    Returns the number of failed cells (always 0 unless auditing turns
-    violations into failures).
-    """
-    _resolve_names(name)  # unknown figures exit cleanly, as they always did
-    start = time.time()
-    runner = Runner(jobs=1, audit=audit)
-    run = runner.run(name, _overrides_for(name, num_pieces))
-    print(run.result.table())
-    if chart:
-        from ..analysis import ascii_chart
-
-        print()
-        print(ascii_chart(run.result))
-    for failure in run.failures:
-        print(f"warning: {failure.summary()}", file=sys.stderr)
-    print(f"[{time.time() - start:.1f}s]")
-    return len(run.failures)
-
-
 def _result_payload(run) -> Dict[str, object]:
     payload = asdict(run.result)
     payload["scenario"] = run.spec.name
     payload["spec_hash"] = run.spec.spec_hash()
-    payload["backend"] = run.spec.backend
+    payload.update({axis.name: run.spec.axis(axis.name) for axis in AXES if axis.fold})
     payload["stats"] = {
         "total_cells": run.stats.total_cells,
         "executed": run.stats.executed,
@@ -256,17 +167,13 @@ def _cmd_run(args) -> None:
     sets = _parse_set(args.set or [])
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.quiet else print_progress
+    axes: Dict[str, object] = {}
+    for axis in AXES:
+        axes.update(axis.keywords_from_args(args, sets))
     try:
         runner = Runner(
-            jobs=args.jobs, cache=cache, progress=progress, audit=args.audit,
-            cell_timeout=args.cell_timeout, chaos=args.chaos,
-            chaos_intensity=args.chaos_intensity,
-            chaos_horizon=args.chaos_horizon,
-            backend=args.backend,
-            strategy=args.strategy,
-            strategy_mix=_parse_strategy_mix(args.strategy_mix),
-            content=args.content,
-            workload=_workload_for(args, sets),
+            jobs=args.jobs, cache=cache, progress=progress,
+            cell_timeout=args.cell_timeout, **axes,
         )
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
@@ -318,9 +225,9 @@ def _cmd_run(args) -> None:
     else:
         run_all()
 
-    if args.audit and failed_cells:
-        # Under --audit a failed cell is (almost always) an invariant
-        # violation; make the run's exit status reflect it for CI.
+    if failed_cells:
+        # A failed cell (an invariant violation under --audit, a timeout,
+        # a crash) is never silent: the run's exit status reflects it.
         raise SystemExit(1)
 
 
@@ -341,13 +248,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="suppress per-cell progress lines on stderr")
     parser.add_argument("--num-pieces", type=int, default=None,
                         help="piece count for fig4bc/fig9ab (20 or 400)")
-    parser.add_argument("--backend", choices=list(BACKENDS), default=None,
-                        help="simulation tier: 'packet' (event-level ground "
-                             "truth), 'fluid' (repro.scale mean-field "
-                             "engine for very large swarms), or 'hybrid' "
-                             "(packet-level focal hosts inside a fluid "
-                             "background); default: the scenario's "
-                             "preferred backend")
     parser.add_argument("--swarm-size", type=int, default=None, metavar="N",
                         help="pin the swarm size for scenarios that sweep it "
                              "(figx_scale: replaces the size grid with [N]; "
@@ -361,50 +261,13 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write the structured cross-layer event log of "
                              "the run as JSONL to PATH (forces --jobs 1; "
                              "render it with scripts/run_report.py)")
-    parser.add_argument("--audit", action="store_true",
-                        help="check cross-layer invariants (repro.audit) in "
-                             "every simulated cell; violations fail the cell "
-                             "and the run exits non-zero (disables the cache)")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-cell wall-clock budget; a cell exceeding it "
                              "becomes a failed cell instead of hanging the run")
-    parser.add_argument("--chaos", metavar="PRESET", default=None,
-                        help="inject a deterministic fault schedule "
-                             "(repro.chaos preset: "
-                             "churn|blackout|degrade|handoff-storm|"
-                             "corruption|mixed) into every simulated cell")
-    parser.add_argument("--chaos-intensity", type=float, default=1.0,
-                        metavar="X",
-                        help="scale the chaos preset's fault pressure "
-                             "(0 disables; default 1.0)")
-    parser.add_argument("--chaos-horizon", type=float, default=300.0,
-                        metavar="SECONDS",
-                        help="simulated window the chaos preset lays its "
-                             "faults over (default 300)")
-    parser.add_argument("--strategy", metavar="NAME", default=None,
-                        help="run the whole peer population under one "
-                             "repro.strategy client strategy "
-                             "(reference|freerider|tyrant|propshare)")
-    parser.add_argument("--strategy-mix", metavar="MIX", default=None,
-                        help="strategy mix for the peer population: JSON "
-                             "('{\"freerider\": 0.25}') or comma pairs "
-                             "('freerider=0.25' / 'mobile:tyrant=0.5'); "
-                             "unlisted fraction runs reference")
-    parser.add_argument("--content", metavar="MODE", default=None,
-                        help="content mode (repro.coding): 'replication' "
-                             "(default pipeline), 'group:K/N' k-of-n erasure "
-                             "coding (e.g. group:4/6), or a JSON object")
-    parser.add_argument("--catalog", metavar="SPEC", default=None,
-                        help="CDN catalog (repro.cdn) every CDN scenario "
-                             "serves: an asset count, "
-                             "'assets:N,size_kib:S,piece_kib:P', or a JSON "
-                             "object (figx_cdn)")
-    parser.add_argument("--demand", metavar="SPEC", default=None,
-                        help="CDN request process (repro.cdn): "
-                             "'zipf:ALPHA[@RATE]' (e.g. zipf:1.1@0.2) or a "
-                             "JSON object with optional flash_crowd/"
-                             "daily_cycle axes (figx_cdn)")
+    for axis in AXES:
+        for names, options in axis.flags:
+            parser.add_argument(*names, **options)
 
 
 def main(argv=None) -> None:
@@ -428,62 +291,9 @@ def main(argv=None) -> None:
     _add_run_arguments(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    # Legacy spelling: `python -m repro.experiments fig2a [--num-pieces N]
-    # [--chart] [--trace PATH]` — serial and uncached, exactly as before
-    # the registry existed.
-    if argv and argv[0] not in ("list", "run", "-h", "--help"):
-        legacy = argparse.ArgumentParser(
-            prog="python -m repro.experiments",
-            description="Reproduce one figure of the paper and print its table.",
-        )
-        legacy.add_argument("figure",
-                            help="|".join(scenario_names()) + "|all")
-        legacy.add_argument("--num-pieces", type=int, default=20,
-                            help="piece count for fig4bc/fig9ab (20 or 400)")
-        legacy.add_argument("--chart", action="store_true",
-                            help="also render an ASCII chart of the series")
-        legacy.add_argument("--trace", metavar="PATH", default=None,
-                            help="write the structured cross-layer event log "
-                                 "of the run as JSONL to PATH (render it with "
-                                 "scripts/run_report.py)")
-        legacy.add_argument("--audit", action="store_true",
-                            help="check cross-layer invariants (repro.audit); "
-                                 "violations exit non-zero")
-        args = legacy.parse_args(argv)
-        failed_cells = 0
-
-        def run_all() -> None:
-            nonlocal failed_cells
-            if args.figure == "all":
-                for name in _resolve_names("all"):
-                    failed_cells += run_one(
-                        name, args.num_pieces, chart=args.chart, audit=args.audit
-                    )
-                    print()
-            else:
-                failed_cells += run_one(
-                    args.figure, args.num_pieces, chart=args.chart, audit=args.audit
-                )
-
-        if args.trace is not None:
-            from ..obs import tracing
-
-            try:
-                open(args.trace, "w", encoding="utf-8").close()
-            except OSError as exc:
-                legacy.error(f"cannot write trace log {args.trace}: {exc}")
-            with tracing.capture(path=args.trace):
-                run_all()
-            print(f"[trace written to {args.trace}]")
-        else:
-            run_all()
-        if args.audit and failed_cells:
-            raise SystemExit(1)
-        return
-
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.error("choose a command: list | run | <figure>")
+        parser.error("choose a command: list | run")
     args.func(args)
 
 

@@ -11,7 +11,7 @@ scale factors are recorded in each result's ``parameters``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..net import (
     AddressAllocator,
@@ -172,14 +172,6 @@ def run_transfer(
         if topo.trace_sink is not None:
             topo.trace_sink.close()
     return TransferStats(delivered_down, delivered_up, duration)
-
-
-def mean_over_seeds(
-    fn: Callable[[int], float], runs: int, base_seed: int = 0
-) -> float:
-    """Average ``fn(seed)`` over ``runs`` distinct seeds."""
-    values = [fn(base_seed + i) for i in range(runs)]
-    return sum(values) / len(values)
 
 
 def random_piece_subset(

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..analysis import ExperimentResult, Series, average_runs, summarize
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from .base import random_piece_subset
 
 UPLOAD_FRACTIONS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -187,34 +187,6 @@ class Fig3B(_UploadSweepScenario):
     }
 
 
-def fig3a(
-    fractions: Sequence[float] = UPLOAD_FRACTIONS,
-    runs: int = 3,
-    duration: float = 60.0,
-    base_seed: int = 300,
-) -> ExperimentResult:
-    """Download rate vs upload cap on a wired (cable) access link."""
-    return run_scenario("fig3a", {
-        "fractions": list(fractions), "runs": runs,
-        "duration": duration, "base_seed": base_seed,
-    })
-
-
-def fig3b(
-    fractions: Sequence[float] = UPLOAD_FRACTIONS,
-    runs: int = 3,
-    duration: float = 60.0,
-    channel_rate: float = 100_000.0,
-    base_seed: int = 400,
-) -> ExperimentResult:
-    """Download rate vs upload cap behind a shared wireless channel."""
-    return run_scenario("fig3b", {
-        "fractions": list(fractions), "runs": runs, "duration": duration,
-        "base_seed": base_seed, "reference_rate": channel_rate,
-        "channel_rate": channel_rate,
-    })
-
-
 FIG3C_CASES: Tuple[Tuple[str, bool, float], ...] = (
     ("No mobility, uploading", False, 60_000.0),
     ("No mobility, no uploading", False, 0.0),
@@ -286,30 +258,6 @@ class Fig3C(Scenario):
                 "file_mb": p["file_mb"],
             },
         )
-
-
-def fig3c(
-    duration: float = 420.0,
-    handoff_interval: float = 60.0,
-    sample_step: float = 20.0,
-    runs: int = 2,
-    base_seed: int = 500,
-    file_mb: float = 32.0,
-) -> ExperimentResult:
-    """Downloaded size vs time: {mobility, none} x {uploading, none}.
-
-    Scaled stand-in for the paper's 100 MB download over 40 minutes with
-    IP changes every minute; ratios (handoff interval vs choker rounds vs
-    tracker interval) are preserved.
-    """
-    # "Uploading" is capped at the competitors' class of rate (60 KB/s):
-    # the effect under test is reciprocation, not the §3.3 self-contention
-    # of an unbounded upload on the mobile host's own channel.
-    return run_scenario("fig3c", {
-        "duration": duration, "handoff_interval": handoff_interval,
-        "sample_step": sample_step, "runs": runs,
-        "base_seed": base_seed, "file_mb": file_mb,
-    })
 
 
 def _fig3c_run(

@@ -22,7 +22,7 @@ from ..bittorrent import ClientConfig, RarestFirstSelector
 from ..bittorrent.selection import PieceSelector
 from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves, playability_curve
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 
 MOBILITY_INTERVALS: Sequence[Optional[float]] = (None, 120.0, 90.0, 60.0, 30.0)
 MOBILITY_LABELS = ("No mobility", "Every 2 min", "Every 1.5 min", "Every 1 min", "Every 0.5 min")
@@ -124,20 +124,6 @@ class Fig4A(Scenario):
         )
 
 
-def fig4a(
-    intervals: Sequence[Optional[float]] = MOBILITY_INTERVALS,
-    runs: int = 2,
-    duration: float = 300.0,
-    tracker_interval: float = 60.0,
-    base_seed: int = 600,
-) -> ExperimentResult:
-    """Fixed-peer throughput vs server (mobile seed) mobility rate."""
-    return run_scenario("fig4a", {
-        "intervals": list(intervals), "runs": runs, "duration": duration,
-        "tracker_interval": tracker_interval, "base_seed": base_seed,
-    })
-
-
 def playability_run(
     seed: int,
     num_pieces: int,
@@ -226,20 +212,3 @@ class Fig4BC(Scenario):
             ),
             parameters={"num_pieces": num_pieces, "runs": p["runs"]},
         )
-
-
-def fig4bc(
-    num_pieces: int,
-    runs: int = 10,
-    base_seed: int = 700,
-    grid: Sequence[float] = GRID,
-) -> ExperimentResult:
-    """Playable %% vs downloaded %% under rarest-first fetching.
-
-    ``num_pieces=20`` reproduces Figure 4(b) (5 MB at the 256 KB default
-    piece length); ``num_pieces=400`` reproduces Figure 4(c) (100 MB).
-    """
-    return run_scenario("fig4bc", {
-        "num_pieces": num_pieces, "runs": runs,
-        "base_seed": base_seed, "grid": list(grid),
-    })

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 from ..analysis import ExperimentResult, Series, average_runs, summarize
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from ..wp2p import WP2PClient, WP2PConfig
 from .base import random_piece_subset
 
@@ -136,19 +136,6 @@ class Fig8A(Scenario):
         )
 
 
-def fig8a(
-    bers: Sequence[float] = AM_BERS,
-    runs: int = 5,
-    duration: float = 60.0,
-    base_seed: int = 800,
-) -> ExperimentResult:
-    """AM vs default: download throughput across BER (Figure 8(a))."""
-    return run_scenario("fig8a", {
-        "bers": list(bers), "runs": runs,
-        "duration": duration, "base_seed": base_seed,
-    })
-
-
 def _fig8b_swarm(seed: int, handoff_interval: float):
     """The busy-swarm testbed both mobile clients download from."""
     sc = SwarmScenario(
@@ -235,20 +222,6 @@ class Fig8B(Scenario):
                 "handoff_interval_s": p["handoff_interval"],
             },
         )
-
-
-def fig8b(
-    duration: float = 300.0,
-    handoff_interval: float = 60.0,
-    sample_step: float = 20.0,
-    runs: int = 2,
-    base_seed: int = 850,
-) -> ExperimentResult:
-    """Identity retention under periodic IP changes (Figure 8(b))."""
-    return run_scenario("fig8b", {
-        "duration": duration, "handoff_interval": handoff_interval,
-        "sample_step": sample_step, "runs": runs, "base_seed": base_seed,
-    })
 
 
 def _fig8c_run(seed: int, bandwidth: float, use_lihd: bool, duration: float) -> float:
@@ -345,16 +318,3 @@ class Fig8C(Scenario):
             ),
             parameters={"runs": p["runs"], "duration_s": p["duration"]},
         )
-
-
-def fig8c(
-    bandwidths: Sequence[float] = (50_000.0, 100_000.0, 150_000.0, 200_000.0),
-    runs: int = 3,
-    duration: float = 60.0,
-    base_seed: int = 900,
-) -> ExperimentResult:
-    """LIHD upload-rate control vs uncapped default (Figure 8(c))."""
-    return run_scenario("fig8c", {
-        "bandwidths": list(bandwidths), "runs": runs,
-        "duration": duration, "base_seed": base_seed,
-    })

@@ -27,7 +27,7 @@ from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import preset_schedule
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from ..wp2p import WP2PClient
 from .fig9_wp2p import rr_only_config
 
@@ -168,17 +168,3 @@ class FigXChaos(Scenario):
                 "mean_faults": mean_faults,
             },
         )
-
-
-def figx_chaos(
-    preset: str = "mixed",
-    intensities: Sequence[float] = CHAOS_INTENSITIES,
-    runs: int = 2,
-    duration: float = 420.0,
-    base_seed: int = 1100,
-) -> ExperimentResult:
-    """Chaos sweep: wP2P vs default under scheduled fault intensity."""
-    return run_scenario("figx_chaos", {
-        "preset": preset, "intensities": list(intensities), "runs": runs,
-        "duration": duration, "base_seed": base_seed,
-    })

@@ -48,7 +48,7 @@ from ..bittorrent.selection import make_selector
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import ChaosSchedule, preset_schedule
 from ..coding import coded_file_size
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
 from ..wp2p import WP2PClient
 from .fig9_wp2p import mf_only_config
@@ -370,17 +370,3 @@ class FigXErasure(Scenario):
                 "gate": gate,
             },
         )
-
-
-def figx_erasure(
-    variants: Sequence[str] = VARIANTS,
-    intensities: Sequence[float] = CHAOS_INTENSITIES,
-    runs: int = 2,
-    duration: float = 210.0,
-    base_seed: int = 1300,
-) -> ExperimentResult:
-    """Erasure sweep: content-mode survival under churn + handoff storms."""
-    return run_scenario("figx_erasure", {
-        "variants": list(variants), "intensities": list(intensities),
-        "runs": runs, "duration": duration, "base_seed": base_seed,
-    })

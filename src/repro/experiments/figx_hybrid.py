@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .. import chaos as chaos_mod
 from ..analysis import ExperimentResult, Series
 from ..chaos import preset_schedule
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..context import current_context
+from ..runner import Scenario, collect, scenario
 from ..scale import HybridSpec, run_hybrid
 
 BACKGROUND_SIZES: Sequence[int] = (1_000, 10_000, 100_000)
@@ -66,11 +66,11 @@ def hybrid_cell(
         coupling_interval=float(p["coupling_interval"]),
         max_time=float(p["max_time"]),
     )
-    # The packet side picks the ambient --chaos preset up on its own
+    # The packet side picks the run context's --chaos preset up on its own
     # (the scenario builder arms it against the focal peers); mapping
     # the same schedule through chaosmap strikes the background classes.
     schedule = None
-    opts = chaos_mod.options()
+    opts = current_context().chaos
     if opts is not None:
         schedule = preset_schedule(
             str(opts["preset"]), float(opts["intensity"]), float(opts["horizon"])
@@ -232,18 +232,3 @@ class FigXHybrid(Scenario):
                 "peak_swarm_size": peak_swarm,
             },
         )
-
-
-def figx_hybrid(
-    background_sizes: Sequence[int] = BACKGROUND_SIZES,
-    focal_mobile_fractions: Sequence[float] = FOCAL_MOBILE_FRACTIONS,
-    focal_hosts: int = 4,
-    runs: int = 1,
-) -> ExperimentResult:
-    """Hybrid sweep (always on the hybrid backend)."""
-    return run_scenario("figx_hybrid", {
-        "background_sizes": list(background_sizes),
-        "focal_mobile_fractions": list(focal_mobile_fractions),
-        "focal_hosts": focal_hosts,
-        "runs": runs,
-    })

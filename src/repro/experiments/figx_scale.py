@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .. import chaos as chaos_mod
 from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import preset_schedule
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..context import current_context
+from ..runner import Scenario, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
 from ..wp2p import WP2PClient
 from .fig9_wp2p import rr_only_config
@@ -90,10 +90,10 @@ def fluid_cell(
         dt=float(p["dt"]),
         max_time=float(p["max_time"]),
     )
-    # Mirror the packet path's ambient chaos: the runner's --chaos preset
+    # Mirror the packet path's chaos: the run context's --chaos preset
     # maps onto fluid rate windows (churn, tracker outage, ...).
     schedule = None
-    opts = chaos_mod.options()
+    opts = current_context().chaos
     if opts is not None:
         schedule = preset_schedule(
             str(opts["preset"]), float(opts["intensity"]), float(opts["horizon"])
@@ -335,17 +335,3 @@ class FigXScale(Scenario):
                 "peak_swarm_size": peak_swarm,
             },
         )
-
-
-def figx_scale(
-    swarm_sizes: Sequence[int] = SWARM_SIZES,
-    mobile_fractions: Sequence[float] = MOBILE_FRACTIONS,
-    runs: int = 1,
-    backend: Optional[str] = None,
-) -> ExperimentResult:
-    """Scale sweep on the fluid backend (or ``backend="packet"`` at small N)."""
-    return run_scenario("figx_scale", {
-        "swarm_sizes": list(swarm_sizes),
-        "mobile_fractions": list(mobile_fractions),
-        "runs": runs,
-    }, backend=backend)

@@ -2,10 +2,6 @@
 
 from .playability import (
     average_curves,
-    coded_playability_curve,
-    coded_playable_bytes,
-    coded_playable_fraction,
-    decodable_prefix_groups,
     downloaded_fraction,
     playability_curve,
     playable_bytes,
@@ -16,10 +12,6 @@ from .playability import (
 
 __all__ = [
     "average_curves",
-    "coded_playability_curve",
-    "coded_playable_bytes",
-    "coded_playable_fraction",
-    "decodable_prefix_groups",
     "downloaded_fraction",
     "playability_curve",
     "playable_bytes",

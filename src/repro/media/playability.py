@@ -67,55 +67,6 @@ def playability_curve(
     return curve
 
 
-def decodable_prefix_groups(codec, bitfield: Bitfield) -> int:
-    """Leading consecutive decodable groups of an erasure-coded download.
-
-    ``codec`` is a non-trivial content codec (duck-typed on
-    :class:`repro.coding.GroupCodec`): the unit of in-order playback is
-    the *source group*, playable once any ``required`` of its coded
-    pieces are held — the coded analogue of
-    :func:`playable_prefix_pieces`.
-    """
-    counts = codec.group_counts(bitfield)
-    prefix = 0
-    for group, have in enumerate(counts):
-        if have < codec.required(group):
-            break
-        prefix += 1
-    return prefix
-
-
-def coded_playable_bytes(codec, bitfield: Bitfield) -> int:
-    """Source bytes of the in-order decodable prefix."""
-    prefix = decodable_prefix_groups(codec, bitfield)
-    return sum(codec.group_source_bytes(g) for g in range(prefix))
-
-
-def coded_playable_fraction(codec, bitfield: Bitfield) -> float:
-    """Playable source bytes as a fraction of the source size, in [0, 1]."""
-    return coded_playable_bytes(codec, bitfield) / codec.source_size
-
-
-def coded_playability_curve(
-    codec, completion_order: Sequence[int]
-) -> List[Tuple[float, float]]:
-    """``(decoded source %, playable source %)`` after each coded piece.
-
-    The coded counterpart of :func:`playability_curve`: progress on both
-    axes is measured in *source* bytes (what a media player could
-    consume), not coded wire bytes, so replication and k-of-n runs plot
-    on the same scale.
-    """
-    bitfield = Bitfield(codec.torrent.num_pieces)
-    curve: List[Tuple[float, float]] = [(0.0, 0.0)]
-    for index in completion_order:
-        bitfield.set(index)
-        decoded = codec.decoded_bytes(bitfield) / codec.source_size
-        playable = coded_playable_fraction(codec, bitfield)
-        curve.append((100.0 * decoded, 100.0 * playable))
-    return curve
-
-
 def playable_percentage_at(
     curve: Sequence[Tuple[float, float]], downloaded_percent: float
 ) -> float:

@@ -11,7 +11,7 @@ correspondent moves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Protocol
 
 from ..sim import Simulator
 from .packet import DropRecord, Packet
@@ -73,6 +73,3 @@ class Internet:
             sim._push(sim._now + self.core_delay, attachment.deliver_from_core, (packet,))
         else:
             attachment.deliver_from_core(packet)
-
-    def route_owner(self, ip: str) -> Optional[Attachment]:
-        return self._routes.get(ip)

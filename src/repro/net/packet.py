@@ -9,7 +9,7 @@ which is the root cause of the paper's piggybacked-ACK pathology (§3.2).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import Any
 
 IP_HEADER_BYTES = 20
 """IPv4 header, no options."""
@@ -73,8 +73,3 @@ class DropRecord:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DropRecord(t={self.time:.4f}, {self.location}, {self.reason})"
-
-
-def unwrap(payload: Any) -> Optional[Any]:
-    """Return the payload itself; extension point for tunnelled payloads."""
-    return payload

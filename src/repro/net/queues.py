@@ -74,9 +74,6 @@ class DropTailQueue:
         self.bytes_dequeued += size
         return packet
 
-    def peek(self) -> Optional[Packet]:
-        return self._queue[0] if self._queue else None
-
     def packets(self) -> List[Packet]:
         """The queued packets, head first (inspection only)."""
         return list(self._queue)

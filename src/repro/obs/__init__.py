@@ -4,9 +4,7 @@ This package is the single instrumentation spine of the library.  Three
 concerns, one home:
 
 * **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges, histograms,
-  and rate meters behind a get-or-create :class:`MetricsRegistry`.  The
-  legacy probes in :mod:`repro.sim.probes` are thin compatibility shims
-  over these classes.
+  and rate meters behind a get-or-create :class:`MetricsRegistry`.
 * **Tracing** (:mod:`repro.obs.tracing`) — a structured cross-layer
   event bus (``sim.trace.event(layer, name, **fields)``) with pluggable
   sinks (ring buffer, JSONL file, null).  Wired into the sim kernel, TCP
@@ -22,7 +20,7 @@ use::
     from repro.obs import tracing
 
     with tracing.capture(path="fig8a.jsonl"):
-        fig8a(runs=1)
+        run_scenario("fig8a", {"runs": 1})
 
 then render the log with ``python scripts/run_report.py fig8a.jsonl``.
 """

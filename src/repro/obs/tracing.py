@@ -26,8 +26,9 @@ Experiments construct their simulators internally, so sinks can also be
 installed *globally*: :func:`install` (or the :func:`capture` context
 manager) registers defaults that every subsequently created
 :class:`~repro.sim.kernel.Simulator` picks up — that is how
-``python -m repro.experiments fig8a --trace run.jsonl`` traces a whole
-figure reproduction without threading a sink through every call.
+``python -m repro.experiments run fig8a --no-cache --trace run.jsonl``
+traces a whole figure reproduction without threading a sink through
+every call.
 """
 
 from __future__ import annotations
@@ -208,11 +209,6 @@ class TraceBus:
             self.event = _noop_event
             self._layers = None
 
-    @property
-    def sinks(self) -> List[TraceSink]:
-        """The currently attached sinks."""
-        return list(self._sinks)
-
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
@@ -279,7 +275,7 @@ def capture(
     """Trace every simulator created inside the block.
 
     >>> with capture(path="run.jsonl") as sinks:     # doctest: +SKIP
-    ...     fig8a(runs=1)
+    ...     run_scenario("fig8a", {"runs": 1})
     ...
     >>> events = read_jsonl("run.jsonl")             # doctest: +SKIP
 

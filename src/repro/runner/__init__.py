@@ -1,23 +1,25 @@
 """Declarative scenario registry and the parallel, cache-aware runner.
 
 This package turns the one-off figure scripts into one orchestrated job
-system.  Three pieces cooperate:
+system.  Four pieces cooperate:
 
 * :mod:`repro.runner.spec` — :class:`ScenarioSpec`, a typed, hashable,
   canonical description of *what* to run (scenario name + parameters +
-  seeds) plus the content hash that keys the result cache;
+  seeds + run axes) plus the content hash that keys the result cache;
+* :mod:`repro.runner.axes` — the run-axis table (backend, audit, chaos,
+  strategy mix, content mode, CDN workload): how each axis is spelled,
+  normalised, folded into digests and applied to every cell;
 * :mod:`repro.runner.registry` — the :class:`Scenario` base class and the
   :func:`scenario` class decorator that registers every experiment under
   a name (``repro.experiments`` registers one scenario per paper figure);
 * :mod:`repro.runner.runner` — the :class:`Runner`, which fans a
   scenario's independent simulation cells out over ``multiprocessing``
-  workers, captures per-cell failures (retry once, then report — a dead
-  seed is never fatal), and consults the content-addressed
-  :class:`~repro.runner.cache.ResultCache` so identical cells are never
-  simulated twice.
+  workers, captures per-cell failures (reported, never fatal), and
+  consults the content-addressed :class:`~repro.runner.cache.ResultCache`
+  so identical cells are never simulated twice.
 
 Determinism contract: each cell is a pure function of
-``(code, scenario, cell key, seed, params)``, so serial (``jobs=1``) and
+``(code, scenario, cell key, seed, params, axes)``, so serial (``jobs=1``) and
 parallel (``jobs=N``) execution of the same spec produce bit-identical
 per-seed results, and a cached value is indistinguishable from a fresh
 one (every value is canonicalised through JSON either way).
@@ -29,6 +31,7 @@ Quick use::
     print(result.table())
 """
 
+from .axes import AXES, BACKENDS, Axis, run_context
 from .cache import ResultCache, default_cache_dir
 from .registry import (
     Scenario,
@@ -47,9 +50,11 @@ from .runner import (
     print_progress,
     run_scenario,
 )
-from .spec import BACKENDS, ScenarioSpec, canonical_json, code_version, freeze_params
+from .spec import ScenarioSpec, canonical_json, code_version, freeze_params
 
 __all__ = [
+    "AXES",
+    "Axis",
     "BACKENDS",
     "CellFailure",
     "CellTimeout",
@@ -67,6 +72,7 @@ __all__ = [
     "freeze_params",
     "get_scenario",
     "print_progress",
+    "run_context",
     "run_scenario",
     "scenario",
     "scenario_names",

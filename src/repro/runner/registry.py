@@ -23,9 +23,11 @@ time, so ``import repro.experiments`` populates the registry.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Type
 
-from .spec import ScenarioSpec, freeze_params
+from ..context import RunContext
+from .spec import freeze_params
 
 CellKey = Tuple[object, ...]
 Cell = Tuple[CellKey, int]
@@ -62,7 +64,7 @@ class Scenario:
     backends: Tuple[str, ...] = ("packet",)
 
     # ------------------------------------------------------------------
-    # Parameters and spec construction
+    # Parameters and run-context resolution
     # ------------------------------------------------------------------
     def params(self, overrides: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
         """Defaults merged with ``overrides``, canonicalised to JSON types."""
@@ -77,22 +79,10 @@ class Scenario:
             merged.update(overrides)
         return freeze_params(merged)
 
-    def spec(
-        self,
-        overrides: Optional[Mapping[str, object]] = None,
-        backend: Optional[str] = None,
-    ) -> ScenarioSpec:
-        """A :class:`ScenarioSpec` for this scenario at the given params.
-
-        ``backend=None`` selects the scenario's default (the first entry
-        of :attr:`backends`).
-        """
-        params = self.params(overrides)
-        seeds = sorted({seed for _, seed in self.cells(params)})
-        return ScenarioSpec.create(
-            self.name, params, seeds=seeds, description=self.description,
-            backend=self.resolve_backend(backend),
-        )
+    def resolve(self, context: RunContext) -> RunContext:
+        """``context`` with its backend validated against :attr:`backends`,
+        or set to this scenario's default (the first entry) when unset."""
+        return replace(context, backend=self.resolve_backend(context.backend))
 
     def resolve_backend(self, backend: Optional[str]) -> str:
         """Validate ``backend`` against :attr:`backends` (None = default)."""
@@ -142,17 +132,17 @@ class Scenario:
             f"(supported: {', '.join(self.backends)})"
         )
 
-    def cell_runner(self, backend: str):
-        """The per-cell entry point for ``backend`` (validated name)."""
+    def cell_runner(self, context: RunContext):
+        """The per-cell entry point for ``context.backend`` (see :meth:`resolve`)."""
         runners = {
             "packet": self.run_cell,
             "fluid": self.run_cell_fluid,
             "hybrid": self.run_cell_hybrid,
         }
         try:
-            return runners[backend]
+            return runners[context.backend]  # type: ignore[index]
         except KeyError:
-            raise ValueError(f"unknown backend {backend!r}") from None
+            raise ValueError(f"unknown backend {context.backend!r}") from None
 
     def assemble(
         self,

@@ -8,10 +8,16 @@ for ``jobs=N`` — then hands the collected values to the scenario's
 * **Caching** — give the runner a :class:`~repro.runner.cache.ResultCache`
   and every cell is looked up by content digest before it is simulated;
   a warm cache re-run executes zero simulations.
-* **Failure capture** — a cell that raises is retried once (in the same
-  worker) and, if it dies again, recorded as a :class:`CellFailure`
-  with its traceback; the campaign continues and ``assemble`` aggregates
-  over the surviving seeds.  A dead seed is reported, never fatal.
+* **Failure capture** — a cell that raises is recorded as a
+  :class:`CellFailure` with its traceback; the campaign continues and
+  ``assemble`` aggregates over the surviving seeds.  A dead seed is
+  reported, never fatal.  Cells are not retried unless ``retries`` asks
+  for it: a cell is a pure function of its inputs, so a retry that
+  succeeds is evidence of nondeterminism, not a recovery.
+* **Run axes** — the backend, auditing, chaos, strategy mix, content
+  mode and CDN workload (:mod:`repro.runner.axes`) travel to every cell
+  as one :class:`~repro.context.RunContext`, which the worker layers
+  over the ambient context for exactly the duration of the cell.
 * **Observability** — per-cell wall timing, cache hit/miss counters and
   retry counts flow into a :class:`~repro.obs.metrics.MetricsRegistry`
   (``runner.*`` metrics) and an optional progress callback.
@@ -40,8 +46,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from ..context import RunContext, enter, leave
 from ..obs.metrics import MetricsRegistry
 from ..obs import tracing
+from .axes import axis_values, cacheable, context_from
 from .cache import ResultCache
 from .registry import Cell, CellKey, CellValues, Scenario, get_scenario
 from .spec import ScenarioSpec, cell_digest, code_version
@@ -87,7 +95,7 @@ def _cell_deadline(seconds: Optional[float]) -> Iterator[None]:
 
 @dataclass
 class CellFailure:
-    """One cell that kept failing after its retry."""
+    """One cell that failed (after its retries, if any)."""
 
     key: CellKey
     seed: int
@@ -141,67 +149,29 @@ def _canonical_value(value: object) -> object:
 
 def _execute_cell(
     payload: Tuple[
-        str, str, list, int, Mapping[str, object], int, bool,
-        Optional[float], Optional[Mapping[str, object]], str,
-        Optional[Mapping[str, Mapping[str, float]]],
-        Optional[Mapping[str, object]],
-        Optional[Mapping[str, object]],
+        str, str, list, int, Mapping[str, object], int, Optional[float], RunContext
     ]
 ):
-    """Worker entry point: run one cell, retrying once on failure.
+    """Worker entry point: run one cell under the run's context.
 
     Module-level (picklable) and self-bootstrapping: it imports the
     scenario's defining module first, so it works under both ``fork``
-    and ``spawn`` start methods.  When the payload's audit flag is set,
-    invariant auditing (:mod:`repro.audit`) is installed around the cell
-    so every simulator the cell builds is checked; a violation surfaces
-    as an ordinary cell failure carrying the ``AuditViolation``
-    traceback.  When chaos options are present, :mod:`repro.chaos` is
-    installed the same way, so every scenario the cell builds gets the
-    fault schedule — and a strategy mix (:mod:`repro.strategy`) likewise,
-    so strategic peer populations reach scenarios that build their own
-    swarms — and a content mode (:mod:`repro.coding`) likewise, so
-    erasure-coded piece pipelines reach them too — and a CDN workload
-    (:mod:`repro.cdn`) likewise, so catalog/demand/origin presets reach
-    every CDN scenario the cell builds.  A :class:`CellTimeout` (the ``cell_timeout``
-    budget expiring) is terminal: a cell that ran out of wall clock once
-    will again, so it fails immediately with no retry.
+    and ``spawn`` start methods.  The payload's :class:`RunContext` is
+    layered over the ambient one for exactly the duration of the cell,
+    so every simulator and scenario the cell builds sees the run's axes
+    (an audit violation surfaces as an ordinary cell failure carrying
+    the ``AuditViolation`` traceback).  A failing cell is retried up to
+    ``retries`` times, except that a :class:`CellTimeout` (the
+    ``cell_timeout`` budget expiring) is terminal: a cell that ran out
+    of wall clock once will again.
     """
-    (
-        module_name, scenario_name, key_list, seed, params, retries,
-        audit_on, cell_timeout, chaos_options, backend, strategy_mix,
-        content, workload,
-    ) = payload
+    module_name, scenario_name, key_list, seed, params, retries, cell_timeout, context = payload
     importlib.import_module(module_name)
-    scn = get_scenario(scenario_name)
-    run_cell = scn.cell_runner(backend)
+    run_cell = get_scenario(scenario_name).cell_runner(context)
     key = tuple(key_list)
     attempts = 0
     start = time.perf_counter()
-    if audit_on:
-        from .. import audit as _audit
-
-        _audit.install()
-    if chaos_options is not None:
-        from .. import chaos as _chaos
-
-        _chaos.install(
-            str(chaos_options["preset"]),
-            intensity=float(chaos_options["intensity"]),  # type: ignore[arg-type]
-            horizon=float(chaos_options["horizon"]),      # type: ignore[arg-type]
-        )
-    if strategy_mix is not None:
-        from .. import strategy as _strategy
-
-        _strategy.install_mix(strategy_mix)
-    if content is not None:
-        from .. import coding as _coding
-
-        _coding.install(content)
-    if workload is not None:
-        from .. import cdn as _cdn
-
-        _cdn.install(workload)
+    token = enter(context)
     try:
         while True:
             attempts += 1
@@ -225,16 +195,7 @@ def _execute_cell(
                     time.perf_counter() - start, attempts,
                 )
     finally:
-        if workload is not None:
-            _cdn.uninstall()
-        if content is not None:
-            _coding.uninstall()
-        if strategy_mix is not None:
-            _strategy.uninstall_mix()
-        if chaos_options is not None:
-            _chaos.uninstall()
-        if audit_on:
-            _audit.uninstall()
+        leave(token)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -252,52 +213,35 @@ class Runner:
 
     ``jobs=1`` executes cells inline (no pool); ``jobs=N`` uses ``N``
     worker processes.  ``cache=None`` disables caching entirely.
+    ``retries`` re-runs a failed cell that many times before recording
+    it (default 0: fail loud).
 
     ``cell_timeout`` bounds each cell's wall-clock time: a cell that
     exceeds it becomes a :class:`CellFailure` (no retry) instead of
-    hanging the campaign.  ``chaos`` names a :mod:`repro.chaos` preset
-    to install around every cell; chaotic results are deterministic, so
-    they stay cacheable — under a digest that folds in the chaos
-    options, disjoint from the clean run's.
+    hanging the campaign.
 
-    ``strategy`` names a single :mod:`repro.strategy` strategy the whole
-    peer population runs; ``strategy_mix`` is the general name→fraction
-    form (optionally per population: ``{"mobile": {...}}``).  Either is
-    installed ambiently around every cell, and — like chaos — folded
-    into the spec hash and cell digests only when the mix is not the
-    pure-``reference`` default, so ordinary runs keep their addresses.
-
-    ``content`` selects the content mode (:mod:`repro.coding`) —
-    ``"replication"`` (the default pipeline), ``"group:K/N"`` k-of-n
-    erasure coding, or a mapping.  Installed ambiently around every cell
-    and folded into digests only when non-default, exactly like the
-    strategy mix.
-
-    ``workload`` is the CDN workload axis (:mod:`repro.cdn`) — a
-    ``{"catalog": ..., "demand": ..., "origin": ...}`` mapping (each
-    sub-spec in its mapping or CLI-string form, e.g. the ``--catalog``/
-    ``--demand`` flags).  Installed ambiently around every cell so CDN
-    scenarios serve it in place of their own parameters, and folded into
-    digests only when non-default.
+    Every other keyword is a run axis (:data:`repro.runner.axes.AXES`),
+    validated here and applied around every cell: ``backend`` (default:
+    each scenario's preferred one), ``audit`` (check invariants in
+    every simulator; bypasses the cache), ``chaos`` with
+    ``chaos_intensity``/``chaos_horizon`` (a :mod:`repro.chaos` preset),
+    ``strategy`` or ``strategy_mix`` (a :mod:`repro.strategy` population
+    mix), ``content`` (a :mod:`repro.coding` mode such as
+    ``"group:4/6"``) and ``workload`` (a :mod:`repro.cdn`
+    ``{"catalog", "demand", "origin"}`` mapping).  An axis set away from
+    its default folds into the cell digests, so such runs cache
+    disjointly from plain ones.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        retries: int = 1,
+        retries: int = 0,
         progress: Optional[Progress] = None,
         metrics: Optional[MetricsRegistry] = None,
-        audit: bool = False,
         cell_timeout: Optional[float] = None,
-        chaos: Optional[str] = None,
-        chaos_intensity: float = 1.0,
-        chaos_horizon: float = 300.0,
-        backend: Optional[str] = None,
-        strategy: Optional[str] = None,
-        strategy_mix: Optional[Mapping[str, object]] = None,
-        content=None,
-        workload: Optional[Mapping[str, object]] = None,
+        **axes: object,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -306,61 +250,11 @@ class Runner:
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive")
         self.jobs = jobs
-        # An audited run must actually simulate: cached values were (or
-        # would be) produced without the checkers, so caching is disabled
-        # in both directions while auditing.
-        self.cache = None if audit else cache
-        self.audit = audit
+        self.context = context_from(**axes)
+        self.cache = cache if cacheable(self.context) else None
         self.retries = retries
         self.progress = progress
         self.cell_timeout = cell_timeout
-        # None = per-scenario default (first entry of Scenario.backends);
-        # resolved and validated against the scenario inside run().
-        self.backend = backend
-        self.chaos_options: Optional[Dict[str, object]] = None
-        if chaos is not None:
-            from ..chaos import preset_schedule
-
-            # Validate eagerly so a bad preset fails at construction.
-            preset_schedule(chaos, chaos_intensity, chaos_horizon)
-            self.chaos_options = {
-                "preset": chaos,
-                "intensity": float(chaos_intensity),
-                "horizon": float(chaos_horizon),
-            }
-        if strategy is not None and strategy_mix is not None:
-            raise ValueError("pass either strategy or strategy_mix, not both")
-        self.strategy_mix: Optional[Dict[str, Dict[str, float]]] = None
-        mix_input = (
-            {"all": {strategy: 1.0}} if strategy is not None else strategy_mix
-        )
-        if mix_input is not None:
-            from .. import strategy as strategy_layer
-
-            # Validate eagerly (unknown names / bad fractions fail here);
-            # a pure-reference mix is the default and keeps digests as-is.
-            normalized = strategy_layer.normalize_mix(mix_input)
-            if not strategy_layer.mix_is_default(normalized):
-                self.strategy_mix = normalized
-        self.content: Optional[Dict[str, object]] = None
-        if content is not None:
-            from .. import coding as coding_layer
-
-            # Validate eagerly; plain replication is the default and
-            # keeps digests exactly where they were.
-            normalized_content = coding_layer.normalize_content(content)
-            if not coding_layer.content_is_default(normalized_content):
-                self.content = normalized_content
-        self.workload: Optional[Dict[str, object]] = None
-        if workload is not None:
-            from .. import cdn as cdn_layer
-
-            # Validate eagerly (malformed catalog/demand/origin specs
-            # fail here); an empty workload is the default and keeps
-            # digests exactly where they were.
-            normalized_workload = cdn_layer.normalize_workload(workload)
-            if not cdn_layer.workload_is_default(normalized_workload):
-                self.workload = normalized_workload
         # `is not None`, not truthiness: an empty registry is falsy (len 0).
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry(clock=time.perf_counter)
@@ -379,16 +273,13 @@ class Runner:
             else get_scenario(name_or_scenario)
         )
         params = scn.params(overrides)
-        backend = scn.resolve_backend(self.backend)
+        context = scn.resolve(self.context)
         cells: List[Cell] = [(tuple(key), seed) for key, seed in scn.cells(params)]
         spec = ScenarioSpec.create(
             scn.name, params,
             seeds=sorted({seed for _, seed in cells}),
             description=scn.description,
-            backend=backend,
-            strategies=self.strategy_mix,
-            content=self.content,
-            workload=self.workload,
+            **axis_values(context),
         )
 
         start = time.perf_counter()
@@ -401,9 +292,7 @@ class Runner:
         code = code_version() if self.cache is not None else ""
         for cell in cells:
             if self.cache is not None:
-                hit, value = self.cache.get(
-                    cell_digest(spec, cell[0], cell[1], code, chaos=self.chaos_options)
-                )
+                hit, value = self.cache.get(cell_digest(spec, cell[0], cell[1], code))
                 if hit:
                     values[cell] = value
                     stats.cache_hits += 1
@@ -423,8 +312,7 @@ class Runner:
         payloads = [
             (
                 module_name, scn.name, list(key), seed, params, self.retries,
-                self.audit, self.cell_timeout, self.chaos_options, backend,
-                self.strategy_mix, self.content, self.workload,
+                self.cell_timeout, context,
             )
             for key, seed in pending
         ]
@@ -447,10 +335,7 @@ class Runner:
                         values[cell] = value
                         if self.cache is not None:
                             self.cache.put(
-                                cell_digest(
-                                    spec, cell[0], cell[1], code,
-                                    chaos=self.chaos_options,
-                                ),
+                                cell_digest(spec, cell[0], cell[1], code),
                                 value,
                                 meta={
                                     "scenario": scn.name,
@@ -504,28 +389,18 @@ def run_scenario(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[Progress] = None,
-    audit: bool = False,
     cell_timeout: Optional[float] = None,
-    chaos: Optional[str] = None,
-    chaos_intensity: float = 1.0,
-    chaos_horizon: float = 300.0,
-    backend: Optional[str] = None,
-    strategy: Optional[str] = None,
-    strategy_mix: Optional[Mapping[str, object]] = None,
-    content=None,
-    workload: Optional[Mapping[str, object]] = None,
+    **axes: object,
 ):
     """Run a registered scenario and return its ``ExperimentResult``.
 
-    The convenience front door used by the legacy ``fig*()`` wrappers,
-    the benchmarks, and ``scripts/generate_experiments_md.py``.  For the
-    failure list and runner statistics, use :class:`Runner` directly.
+    The convenience front door used by the tests, the benchmarks, and
+    ``scripts/generate_experiments_md.py``; ``axes`` are the
+    :class:`Runner`'s run-axis keywords.  For the failure list and
+    runner statistics, use :class:`Runner` directly.
     """
     runner = Runner(
-        jobs=jobs, cache=cache, progress=progress, audit=audit,
-        cell_timeout=cell_timeout, chaos=chaos,
-        chaos_intensity=chaos_intensity, chaos_horizon=chaos_horizon,
-        backend=backend, strategy=strategy, strategy_mix=strategy_mix,
-        content=content, workload=workload,
+        jobs=jobs, cache=cache, progress=progress, cell_timeout=cell_timeout,
+        **axes,
     )
     return runner.run(name, overrides).result

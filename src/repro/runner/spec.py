@@ -3,7 +3,8 @@
 A :class:`ScenarioSpec` pins down *everything* that determines a
 scenario's results: the scenario name, the full parameter set (defaults
 merged with overrides, canonicalised to JSON so ``(0.0, 5e-6)`` and
-``[0.0, 5e-6]`` are the same spec), and the seeds its cells run under.
+``[0.0, 5e-6]`` are the same spec), the seeds its cells run under, and
+the run axes (:mod:`repro.runner.axes`) set away from their defaults.
 Two specs are equal exactly when they would produce identical results on
 the same code, which makes the spec the natural cache key:
 :func:`cell_digest` combines the spec identity with a cell's key/seed and
@@ -19,13 +20,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-#: The simulation backends a scenario can run on.  ``"packet"`` is the
-#: packet-level discrete-event simulator (the ground truth); ``"fluid"``
-#: is the :mod:`repro.scale` mean-field engine for very large swarms;
-#: ``"hybrid"`` couples packet-level focal hosts to a fluid background
-#: (:mod:`repro.scale.hybrid`).
-BACKENDS: Tuple[str, ...] = ("packet", "fluid", "hybrid")
-
+from .axes import AXES
 
 def canonical_json(value: object) -> str:
     """Canonical JSON text for ``value`` (sorted keys, no whitespace).
@@ -54,49 +49,23 @@ def freeze_params(params: Mapping[str, object]) -> Dict[str, object]:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One fully-specified experiment: name + canonical params + seeds.
+    """One fully-specified experiment: name + canonical params + seeds + axes.
 
     Hashable and comparable by value; ``params_json`` (not the mapping
     itself) carries the parameter identity so the dataclass stays
     frozen/hashable while :attr:`params` offers the convenient dict view.
 
-    ``backend`` names the simulation tier the cells run on (see
-    :data:`BACKENDS`).  The default ``"packet"`` keeps pre-backend spec
-    hashes and cell digests byte-identical, while any other backend is
-    folded into both — fluid results can never collide with (or shadow)
-    packet-level ground truth in the cache.
-
-    ``strategies`` carries the canonical strategy mix
-    (:func:`repro.strategy.normalize_mix` output as canonical JSON) the
-    run installs around every cell; ``""`` is the default all-``reference``
-    population.  It is folded into :meth:`spec_hash` and
-    :func:`cell_digest` with the same only-when-non-default trick as the
-    backend, so every pre-strategy digest is unchanged while mixed runs
-    cache disjointly.
-
-    ``content`` carries the canonical content mode
-    (:func:`repro.coding.normalize_content` output as canonical JSON) —
-    ``""`` is plain replication.  Folded in with the same
-    only-when-non-default trick: default-content digests are
-    byte-identical to the pre-codec era, while erasure-coded runs cache
-    disjointly.
-
-    ``workload`` carries the canonical CDN workload
-    (:func:`repro.cdn.normalize_workload` output as canonical JSON) —
-    ``""`` means scenarios use their own catalog/demand/origin
-    parameters.  Same only-when-non-default folding: every pre-CDN
-    digest is byte-identical, while workload-driven runs cache
-    disjointly.
+    ``axes_json`` carries every run axis (:mod:`repro.runner.axes`) set
+    away from its default, as canonical JSON keyed by axis name; ``""``
+    when none is.  Default-valued axes are left out, so a spec built
+    before an axis existed keeps its hash and cell digests.
     """
 
     name: str
     params_json: str
     seeds: Tuple[int, ...] = ()
     description: str = field(default="", compare=False)
-    backend: str = "packet"
-    strategies: str = ""
-    content: str = ""
-    workload: str = ""
+    axes_json: str = ""
 
     @classmethod
     def create(
@@ -105,24 +74,26 @@ class ScenarioSpec:
         params: Optional[Mapping[str, object]] = None,
         seeds: Sequence[int] = (),
         description: str = "",
-        backend: str = "packet",
-        strategies: Optional[Mapping[str, object]] = None,
-        content: Optional[Mapping[str, object]] = None,
-        workload: Optional[Mapping[str, object]] = None,
+        **axes: object,
     ) -> "ScenarioSpec":
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}"
-            )
+        """Build a spec; ``axes`` are run-axis values keyed by axis name.
+
+        Each value is normalised (and validated) by its axis; axes that
+        fold into no digest (auditing) are not part of the spec.
+        """
+        folded: Dict[str, object] = {}
+        for axis in AXES:
+            value = axis.normalize(axes.pop(axis.name, None))
+            if axis.fold is not None and axis.is_set(value):
+                folded[axis.name] = value
+        if axes:
+            raise TypeError(f"unknown run axes: {', '.join(sorted(axes))}")
         return cls(
             name=name,
             params_json=canonical_json(dict(params or {})),
             seeds=tuple(int(s) for s in seeds),
             description=description,
-            backend=backend,
-            strategies=canonical_json(dict(strategies)) if strategies else "",
-            content=canonical_json(dict(content)) if content else "",
-            workload=canonical_json(dict(workload)) if workload else "",
+            axes_json=canonical_json(folded) if folded else "",
         )
 
     @property
@@ -130,24 +101,36 @@ class ScenarioSpec:
         """The canonical parameter mapping (a fresh dict each call)."""
         return json.loads(self.params_json)
 
-    def spec_hash(self) -> str:
-        """Content hash of the spec itself (name + params + seeds).
+    @property
+    def axes(self) -> Dict[str, object]:
+        """The run axes set away from their defaults (a fresh dict)."""
+        return json.loads(self.axes_json) if self.axes_json else {}
 
-        The backend is folded in only when it is not ``"packet"``, so
-        hashes of ordinary packet-level specs are unchanged from before
-        the backend axis existed.
+    def axis(self, name: str) -> object:
+        """The value of run axis ``name`` (its default when unset)."""
+        default = next(axis.default for axis in AXES if axis.name == name)
+        return self.axes.get(name, default)
+
+    def folded(self, scopes: Tuple[str, ...]) -> Dict[str, object]:
+        """The set axes whose fold is one of ``scopes``, keyed by name."""
+        axes = self.axes
+        return {
+            axis.name: axes[axis.name]
+            for axis in AXES
+            if axis.fold in scopes and axis.name in axes
+        }
+
+    def spec_hash(self) -> str:
+        """Content hash of the spec itself (name + params + seeds + axes).
+
+        Only ``fold="spec"`` axes take part: a chaos preset changes the
+        cells' results (and their digests) but not which experiment the
+        spec names.
         """
         body: Dict[str, object] = {
             "name": self.name, "params": self.params, "seeds": list(self.seeds)
         }
-        if self.backend != "packet":
-            body["backend"] = self.backend
-        if self.strategies:
-            body["strategies"] = json.loads(self.strategies)
-        if self.content:
-            body["content"] = json.loads(self.content)
-        if self.workload:
-            body["workload"] = json.loads(self.workload)
+        body.update(self.folded(("spec",)))
         payload = canonical_json(body)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -187,24 +170,14 @@ def cell_digest(
     key: Tuple[object, ...],
     seed: int,
     code: Optional[str] = None,
-    chaos: Optional[Mapping[str, object]] = None,
 ) -> str:
     """The content address of one (scenario, cell, seed) result.
 
-    ``chaos`` is the runner's ambient fault-injection options
-    (``{preset, intensity, horizon}``), folded in **only when set**:
-    chaos deterministically changes results, so chaotic and clean runs
-    of the same cell must occupy different cache addresses — while the
-    digests of ordinary runs stay byte-identical to what they were
-    before chaos existed.  The spec's backend is folded in the same way
-    (only when not ``"packet"``), so fluid-backend results live at
-    digests disjoint from every packet-level run — and so is the spec's
-    strategy mix (only when non-default), keeping default-strategy cells
-    at their pre-strategy-layer addresses while every distinct mix gets
-    its own.  The spec's content mode follows the same rule: plain
-    replication adds nothing, erasure-coded runs cache disjointly — and
-    so does the spec's CDN workload (catalog/demand/origin), keeping
-    every pre-CDN digest byte-identical.
+    Every run axis the spec sets folds in under its name — ``fold="spec"``
+    and ``fold="cell"`` axes alike — so runs that differ in any axis
+    occupy disjoint cache addresses, while default-valued axes add
+    nothing and every digest computed before an axis existed is
+    unchanged.
     """
     body: Dict[str, object] = {
         "scenario": spec.name,
@@ -213,15 +186,6 @@ def cell_digest(
         "seed": seed,
         "code": code if code is not None else code_version(),
     }
-    if spec.backend != "packet":
-        body["backend"] = spec.backend
-    if chaos is not None:
-        body["chaos"] = dict(chaos)
-    if spec.strategies:
-        body["strategies"] = json.loads(spec.strategies)
-    if spec.content:
-        body["content"] = json.loads(spec.content)
-    if spec.workload:
-        body["workload"] = json.loads(spec.workload)
+    body.update(spec.folded(("spec", "cell")))
     payload = canonical_json(body)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

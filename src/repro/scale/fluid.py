@@ -192,11 +192,6 @@ class FluidSwarm:
             s.complete for s in self._states if not s.cls.seed
         ) and all(s.cls.arrival_rate == 0.0 for s in self._states)
 
-    @property
-    def finished(self) -> bool:
-        """True once every leecher class has completed (no open arrivals)."""
-        return self._finished()
-
     def availability_proxy(self) -> float:
         """Aggregate piece availability the background presents outward.
 

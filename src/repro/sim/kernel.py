@@ -63,7 +63,7 @@ class Simulator:
         self._profiler: Optional[KernelProfiler] = None
         # Invariant auditing (repro.audit): None unless an Auditor is
         # attached — components and the event loop pay one `is None`
-        # test when off.  Globally installed audit defaults attach here.
+        # test when off.  The run context's audit axis attaches one here.
         self.audit = None
         _audit_defaults(self)
 

@@ -95,12 +95,6 @@ class PeriodicTask:
             self._sim.cancel(self._event)
             self._event = None
 
-    def set_interval(self, interval: float) -> None:
-        """Change the cadence, effective from the next scheduling."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self._interval = interval
-
     @property
     def running(self) -> bool:
         return self._running

@@ -10,7 +10,7 @@ name.  Built-ins: ``reference`` (tit-for-tat), ``freerider``,
 ``tyrant`` (BitTyrant-style) and ``propshare`` (Nielson et al.'s
 robust proportional-share choker).
 
-Strategies reach a swarm three ways, mirroring :mod:`repro.chaos`:
+Strategies reach a swarm three ways:
 
 Explicitly, per peer::
 
@@ -20,27 +20,22 @@ As a scenario-level mix (name → fraction, optionally per population)::
 
     swarm = SwarmScenario(seed=7, strategy_mix={"freerider": 0.25})
 
-Globally, for code that builds scenarios internally — the pattern the
-CLI's ``--strategy``/``--strategy-mix`` flags and the
-:class:`~repro.runner.Runner` use::
+Through the ``strategies`` axis of the run context
+(:mod:`repro.context`), for code that builds scenarios internally — what
+the CLI's ``--strategy``/``--strategy-mix`` flags and
+``Runner(strategy_mix=...)`` set around every cell::
 
-    from repro import strategy
+    from repro.runner import run_context
 
-    strategy.install_mix({"mobile": {"freerider": 0.5}})
-    try:
+    with run_context(strategy_mix={"mobile": {"freerider": 0.5}}):
         run_scenario(...)    # every new SwarmScenario draws from the mix
-    finally:
-        strategy.uninstall_mix()
 
-or equivalently ``with strategy.strategic({...}): ...``.  Strategy
-assignment is deterministic (no RNG), off by default, and costs one
-``is None`` check per scenario when off.
+A scenario's own ``strategy_mix`` argument beats the context's.
+Strategy assignment is deterministic (no RNG), off by default, and
+costs one ``is None`` check per scenario when off.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
 from .base import ChokerPolicy, ClientStrategy
 from .mix import (
@@ -80,64 +75,11 @@ __all__ = [
     "TyrantPolicy",
     "UnknownStrategyError",
     "allocate_counts",
-    "ambient_mix",
     "contribution_rate",
     "get_strategy",
-    "install_mix",
-    "mix_installed",
     "mix_is_default",
     "normalize_mix",
     "register_strategy",
     "resolve_strategy",
-    "strategic",
     "strategy_names",
-    "uninstall_mix",
 ]
-
-
-# ----------------------------------------------------------------------
-# Global default mix: every new SwarmScenario consults it, like chaos.
-# ----------------------------------------------------------------------
-_ambient_mix: Optional[Mix] = None
-
-
-def install_mix(mix) -> None:
-    """Assign the mix inside every *new* scenario until :func:`uninstall_mix`.
-
-    The mix is validated (and canonicalised) eagerly, so an unknown
-    strategy name or bad fraction fails at install time, not mid-run.
-    Installing an effectively-default mix (pure ``reference``) is a
-    no-op: scenarios see no mix at all, keeping the default simulation
-    trajectory byte-identical.
-    """
-    global _ambient_mix
-    normalized = normalize_mix(mix)
-    _ambient_mix = None if mix_is_default(normalized) else normalized
-
-
-def uninstall_mix() -> None:
-    """Stop assigning strategies to new scenarios."""
-    global _ambient_mix
-    _ambient_mix = None
-
-
-def mix_installed() -> bool:
-    """True when new scenarios get a strategy mix."""
-    return _ambient_mix is not None
-
-
-def ambient_mix() -> Optional[Mix]:
-    """The installed canonical mix, or ``None``."""
-    if _ambient_mix is None:
-        return None
-    return {pop: dict(weights) for pop, weights in _ambient_mix.items()}
-
-
-@contextmanager
-def strategic(mix) -> Iterator[Optional[Mix]]:
-    """Install a mix for the scenarios created inside the block."""
-    install_mix(mix)
-    try:
-        yield ambient_mix()
-    finally:
-        uninstall_mix()

@@ -12,7 +12,7 @@ connection tells it what happened; it answers with what the window is.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 SLOW_START = "slow_start"
 CONGESTION_AVOIDANCE = "congestion_avoidance"
@@ -108,13 +108,3 @@ class NewRenoCongestionControl:
     @property
     def in_recovery(self) -> bool:
         return self.state == FAST_RECOVERY
-
-
-class CwndTracker:
-    """Optional history of (time, cwnd) for experiments that plot windows."""
-
-    def __init__(self) -> None:
-        self.samples: List[Tuple[float, int]] = []
-
-    def record(self, time: float, cwnd: int) -> None:
-        self.samples.append((time, cwnd))

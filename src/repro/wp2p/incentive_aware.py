@@ -135,10 +135,6 @@ class LIHDController:
                 download_rate=d_cur, dec_count=self._dec_count,
             )
 
-    @property
-    def upload_rate(self) -> float:
-        return self.u_cur
-
 
 def seed_lihd(
     client: "BitTorrentClient",

@@ -49,13 +49,10 @@ class TestPlumbing:
         sim.run()  # no auditor in the loop
 
     def test_install_attaches_new_simulators(self):
-        audit.install()
-        try:
+        with audit.audited() as auditors:
             sim = Simulator(seed=1)
             assert isinstance(sim.audit, Auditor)
-            assert sim.audit in audit.auditors()
-        finally:
-            audit.uninstall()
+            assert auditors == [sim.audit]
         assert Simulator(seed=2).audit is None
 
     def test_audited_context_keeps_auditors_inspectable(self):
@@ -260,16 +257,13 @@ class TestBitTorrentAlarms:
     def _swarm(self):
         from repro.bittorrent.swarm import SwarmScenario
 
-        audit.install(raise_on_violation=False)
-        try:
+        with audit.audited(raise_on_violation=False) as auditors:
             scenario = SwarmScenario(seed=7, file_size=128 * 1024)
             scenario.add_wired_peer("seed0", complete=True)
             leech = scenario.add_wired_peer("leech0")
             scenario.start_all()
             scenario.run(until=10.0)
-        finally:
-            audit.uninstall()
-        (auditor,) = audit.auditors()
+        (auditor,) = auditors
         assert auditor.ok, auditor.violations
         return scenario, auditor, leech.client
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.bittorrent import PeerLedger, TokenBucket
@@ -60,6 +62,70 @@ class TestTokenBucket:
         bucket = TokenBucket(sim, rate=10.0)
         with pytest.raises(ValueError):
             bucket.set_rate(-5.0)
+
+
+def _bucket_trace(seed: int, observe: bool):
+    """Replay one random consume trace; optionally read ``tokens`` between ops."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    bucket = TokenBucket(sim, rate=rng.uniform(1e3, 1e5), burst=rng.uniform(1e3, 1e5))
+    results = []
+    t = 0.0
+    for _ in range(60):
+        t += rng.expovariate(20.0)
+        nbytes = rng.uniform(1.0, 2e4)
+        kind = rng.random()
+
+        def op(nbytes=nbytes, kind=kind):
+            if kind < 0.6:
+                results.append(bucket.try_consume(nbytes))
+            else:
+                results.append(bucket.time_until(nbytes))
+
+        sim.schedule_at(t, op)
+        peek = t + rng.uniform(0.0, 0.05)
+        if observe:
+            sim.schedule_at(peek, lambda: bucket.tokens)
+    sim.run()
+    return results, bucket._tokens
+
+
+class TestTokenBucketObservation:
+    def test_interleaved_reads_change_nothing(self):
+        # Reading ``tokens`` must not commit a partial refill: every
+        # try_consume/time_until result and the final balance stay
+        # bit-identical with and without an observer in between.
+        for seed in range(50):
+            assert _bucket_trace(seed, observe=False) == _bucket_trace(seed, observe=True)
+
+    def test_audited_capped_wp2p_swarm_matches_unaudited(self):
+        from repro import audit
+        from repro.bittorrent.swarm import SwarmScenario
+        from repro.wp2p import WP2PClient, WP2PConfig
+
+        def run():
+            sc = SwarmScenario(seed=5, file_size=512 * 1024, piece_length=16 * 1024)
+            sc.add_wired_peer("seed", complete=True, up_rate=60_000.0)
+            sc.add_wired_peer("w0", up_rate=30_000.0)
+            for i in range(3):
+                sc.add_wireless_peer(
+                    f"m{i}", rate=80_000.0, ber=1e-5,
+                    config=WP2PConfig(upload_limit=12_000.0, lihd_u_max=24_000.0),
+                    client_factory=WP2PClient,
+                )
+            sc.start_all()
+            sc.run_until_complete(timeout=400.0)
+            return {
+                name: (h.client.completion_time, h.client.downloaded.total,
+                       h.client.uploaded.total)
+                for name, h in sc.peers.items()
+            }, sc.sim.events_processed
+
+        plain = run()
+        with audit.audited(sweep_interval=16) as auditors:
+            checked = run()
+        assert auditors and all(a.ok for a in auditors)
+        assert checked == plain
 
 
 class TestPeerLedger:

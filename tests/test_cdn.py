@@ -20,7 +20,6 @@ import json
 
 import pytest
 
-from repro import cdn
 from repro.cdn import (
     Catalog,
     CdnScenario,
@@ -34,16 +33,10 @@ from repro.cdn import (
     zipf_weights,
 )
 from repro.cdn.demand import cycle_factor, mean_cycle_factor
-from repro.runner import Runner
+from repro.context import current_context
+from repro.runner import Runner, run_context
 from repro.runner.spec import ScenarioSpec, canonical_json, cell_digest
 from repro.scale.assets import AssetClassParams, asset_class_outcome
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_workload():
-    cdn.uninstall()
-    yield
-    cdn.uninstall()
 
 
 # ----------------------------------------------------------------------
@@ -196,14 +189,11 @@ class TestWorkloadAxis:
             normalize_workload("zipf:1.1")
 
     def test_ambient_workload_beats_constructor_arguments(self):
-        cdn.install({"catalog": {"assets": 2, "size_kib": 16}})
-        try:
-            assert cdn.installed()
+        with run_context(workload={"catalog": {"assets": 2, "size_kib": 16}}) as context:
+            assert context.workload is not None
             sc = CdnScenario(seed=0, catalog="assets:5", peers=2, horizon=10.0)
             assert len(sc.catalog) == 2
-        finally:
-            cdn.uninstall()
-        assert not cdn.installed()
+        assert current_context().workload is None
         sc = CdnScenario(seed=0, catalog="assets:5,size_kib:16", peers=2,
                          horizon=10.0)
         assert len(sc.catalog) == 5
@@ -237,10 +227,10 @@ class TestWorkloadAxis:
         assert len({cell_digest(s, ("k",), 1, code="c") for s in specs}) == 3
 
     def test_runner_validates_eagerly_and_drops_the_default(self):
-        assert Runner(workload=None).workload is None
-        assert Runner(workload={}).workload is None
+        assert Runner(workload=None).context.workload is None
+        assert Runner(workload={}).context.workload is None
         runner = Runner(workload={"demand": "zipf:1.5@0.2"})
-        assert runner.workload == {
+        assert runner.context.workload == {
             "demand": {"kind": "zipf", "alpha": 1.5, "rate": 0.2},
         }
         with pytest.raises(ValueError):
@@ -361,12 +351,9 @@ class TestFluidSurrogate:
         assert result["requests"] > 0
 
     def test_ambient_workload_reaches_the_fluid_cell(self):
-        cdn.install({"catalog": {"assets": 2, "size_kib": 16}})
-        try:
+        with run_context(workload={"catalog": {"assets": 2, "size_kib": 16}}):
             result = cdn_fluid_cell(catalog="assets:9")
             assert len(result["per_asset"]) == 2  # bands of a 2-asset catalog
-        finally:
-            cdn.uninstall()
 
     def test_asset_class_outcome_contracts(self):
         base = dict(

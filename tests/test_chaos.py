@@ -28,7 +28,8 @@ from repro.chaos import (
     preset_schedule,
 )
 from repro.obs.tracing import RingBufferSink
-from repro.runner import ResultCache, Runner, Scenario, scenario
+from repro.context import current_context
+from repro.runner import ResultCache, Runner, Scenario, run_context, scenario
 from repro.runner.spec import ScenarioSpec, cell_digest
 from repro.tcp import TCPConfig
 
@@ -237,27 +238,29 @@ class TestController:
 
 
 # ----------------------------------------------------------------------
-# Global install (the audit-style pattern)
+# The run context's chaos axis
 # ----------------------------------------------------------------------
 class TestGlobalInstall:
     def test_unleashed_attaches_to_new_scenarios(self):
-        with chaos.unleashed("handoff-storm", intensity=1.0, horizon=60.0) as made:
+        with run_context(chaos="handoff-storm", chaos_intensity=1.0,
+                         chaos_horizon=60.0):
             sc = small_swarm(seed=15)
             sc.add_mobility(sc["mob0"], interval=500.0, downtime=1.0)
-            assert sc.chaos is made[0]
+            assert sc.chaos is not None
             sc.start_all()
             sc.run(until=60.0)
-        assert not chaos.installed()
-        assert made[0].faults_injected > 0
+        assert current_context().chaos is None
+        assert sc.chaos.faults_injected > 0
 
     def test_off_by_default(self):
-        assert not chaos.installed()
+        assert current_context().chaos is None
         assert small_swarm(seed=16).chaos is None
 
     def test_install_validates_preset(self):
         with pytest.raises(ValueError, match="unknown chaos preset"):
-            chaos.install("nope")
-        assert not chaos.installed()
+            with run_context(chaos="nope"):
+                pass
+        assert current_context().chaos is None
 
 
 # ----------------------------------------------------------------------
@@ -392,14 +395,20 @@ class TestRunnerIntegration:
 
     def test_chaos_digest_distinct_from_clean(self):
         spec = ScenarioSpec.create("x", {"a": 1}, seeds=[1])
-        clean = cell_digest(spec, ("k",), 1, code="c")
-        chaotic = cell_digest(
-            spec, ("k",), 1, code="c",
+        chaotic_spec = ScenarioSpec.create(
+            "x", {"a": 1}, seeds=[1],
             chaos={"preset": "mixed", "intensity": 1.0, "horizon": 300.0},
         )
+        clean = cell_digest(spec, ("k",), 1, code="c")
+        chaotic = cell_digest(chaotic_spec, ("k",), 1, code="c")
         assert clean != chaotic
+        # chaos folds into the cell digest only, never into the spec hash
+        assert spec.spec_hash() == chaotic_spec.spec_hash()
         # and the clean digest is exactly the legacy (pre-chaos) digest
-        assert clean == cell_digest(spec, ("k",), 1, code="c", chaos=None)
+        assert clean == cell_digest(
+            ScenarioSpec.create("x", {"a": 1}, seeds=[1], chaos=None),
+            ("k",), 1, code="c",
+        )
 
     def test_bad_preset_fails_at_construction(self):
         with pytest.raises(ValueError, match="unknown chaos preset"):

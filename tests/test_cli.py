@@ -1,8 +1,9 @@
 """Tests for the experiment CLI (python -m repro.experiments).
 
-Covers the new registry-backed subcommands (``list``, ``run``) and the
-legacy spellings (``fig2a``, ``all``, ``--num-pieces``, ``--chart``,
-``--trace``) that must keep working verbatim.
+Covers the registry-backed subcommands (``list``, ``run``), the flags
+the pre-registry spelling offered (``--num-pieces``, ``--chart``,
+``--trace``) under ``run``, and the rejection of the bare-figure
+spelling (``python -m repro.experiments fig2a``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import ALL_ORDER, main, run_one
+from repro.experiments.__main__ import ALL_ORDER, main
 from repro.runner import scenario_names
 
 FIGURES = {
@@ -84,6 +85,11 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "fig2bc", "--no-cache", "--quiet", "--set", "duration"])
 
+    def test_run_with_chart(self, capsys):
+        main(["run", "fig2bc", "--no-cache", "--quiet", "--chart"])
+        out = capsys.readouterr().out
+        assert out.count("Figure 2(b, c)") >= 2  # table + chart headers
+
 
 class TestOverrideConflicts:
     """A dedicated flag and a --set spelling of the same key must be an
@@ -107,39 +113,29 @@ class TestOverrideConflicts:
 
 
 class TestLegacySpellings:
-    def test_run_one_prints_table(self, capsys):
-        run_one("fig2bc", num_pieces=20)
-        out = capsys.readouterr().out
-        assert "Figure 2(b, c)" in out
-        assert "paper:" in out
-
-    def test_run_one_with_chart(self, capsys):
-        run_one("fig2bc", num_pieces=20, chart=True)
-        out = capsys.readouterr().out
-        assert out.count("Figure 2(b, c)") >= 2  # table + chart headers
+    """The bare-figure front door is gone; ``run`` takes its flags."""
 
     def test_unknown_figure_exits(self):
         with pytest.raises(SystemExit):
-            run_one("fig99", num_pieces=20)
+            main(["fig99"])
 
-    def test_main_parses_bare_figure(self, capsys):
-        main(["fig2bc"])
-        out = capsys.readouterr().out
-        assert "Figure 2(b, c)" in out
+    def test_bare_figure_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig2bc"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_piecewise_figure_accepts_num_pieces(self, capsys):
-        main(["fig4bc", "--num-pieces", "10"])
+        main(["run", "fig4bc", "--num-pieces", "10", "--no-cache", "--quiet"])
         out = capsys.readouterr().out
         assert "Playable" in out
 
     def test_legacy_trace_writes_jsonl(self, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"
-        main(["fig2bc", "--trace", str(trace)])
-        out = capsys.readouterr().out
-        assert "Figure 2(b, c)" in out
-        assert f"[trace written to {trace}]" in out
-        lines = trace.read_text().strip().splitlines()
-        assert lines and all(json.loads(line) for line in lines)
+        main(["run", "fig2bc", "--no-cache", "--quiet", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert "Figure 2(b, c)" in captured.out
+        assert f"[trace written to {trace}]" in captured.err
+        assert trace.read_text().strip()
 
     def test_trace_with_run_command_degrades_to_serial(self, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro import audit, coding
+from repro import audit
 from repro.bittorrent.bitfield import Bitfield
 from repro.bittorrent.selection import make_selector
 from repro.bittorrent.swarm import SwarmScenario
@@ -32,7 +32,7 @@ from repro.coding import (
     make_codec,
     normalize_content,
 )
-from repro.runner import Runner, ScenarioSpec
+from repro.runner import Runner, ScenarioSpec, run_context
 from repro.runner.spec import canonical_json, cell_digest
 from repro.scale import coded_fetchability, content_rate_factor
 
@@ -148,9 +148,9 @@ class TestContentDigests:
     def test_runner_normalizes_default_content_away(self):
         # Asking for plain replication explicitly must land at exactly
         # the default addresses — the runner drops it before the spec.
-        assert Runner(content="replication").content is None
-        assert Runner(content=None).content is None
-        assert Runner(content="group:4/6").content == {
+        assert Runner(content="replication").context.content is None
+        assert Runner(content=None).context.content is None
+        assert Runner(content="group:4/6").context.content == {
             "mode": "group", "k": 4, "n": 6,
         }
         with pytest.raises(ValueError):
@@ -289,16 +289,13 @@ class TestCodedSwarm:
         assert manager._grouped is None
 
     def test_ambient_install_reaches_internally_built_swarms(self):
-        coding.install("group:2/3")
-        try:
+        with run_context(content="group:2/3"):
             sc = SwarmScenario(seed=94, file_size=128 * KIB,
                                piece_length=16 * KIB)
             handle = sc.add_wired_peer("p0")
             codec = handle.client.manager.codec
             assert isinstance(codec, GroupCodec)
             assert (codec.k, codec.n) == (2, 3)
-        finally:
-            coding.uninstall()
         sc = SwarmScenario(seed=95, file_size=128 * KIB, piece_length=16 * KIB)
         assert sc.add_wired_peer("p0").client.manager.codec.trivial
 

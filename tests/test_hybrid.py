@@ -183,7 +183,7 @@ FAST_HYBRID = {
 class TestFigxHybridScenario:
     def test_runs_through_the_runner_on_the_hybrid_backend(self):
         run = Runner(jobs=1).run("figx_hybrid", FAST_HYBRID)
-        assert run.spec.backend == "hybrid"
+        assert run.spec.axis("backend") == "hybrid"
         assert run.stats.failed == 0
         for value in run.values.values():
             assert 0.0 < value["completion"] <= FAST_HYBRID["max_time"]

@@ -93,10 +93,10 @@ class TestWirelessDynamics:
 
 class TestCounterEdges:
     def test_value_at_exact_boundaries(self):
-        from repro.sim import Counter
+        from repro.obs.metrics import Counter
 
         sim = Simulator()
-        counter = Counter(sim, "x", record_history=True)
+        counter = Counter("x", lambda: sim.now, record_history=True)
         sim.schedule(1.0, lambda: counter.add(10))
         sim.schedule(1.0, lambda: counter.add(5))
         sim.run()

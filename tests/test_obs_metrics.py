@@ -187,22 +187,14 @@ class TestWindowRateMeter:
 
 
 class TestProbesCompatShims:
-    """sim.probes must remain a thin facade over the obs layer."""
-
-    def test_probe_classes_are_obs_backed(self):
-        from repro import obs
-        from repro.sim import probes
-
-        assert issubclass(probes.Counter, obs.Counter)
-        assert issubclass(probes.RateMeter, obs.WindowRateMeter)
-        assert probes.TimeSeries is obs.TimeSeries
-        assert probes.mean is obs.mean
+    """Instruments bound to a simulator's clock follow simulated time."""
 
     def test_probe_counter_tracks_sim_clock(self):
-        from repro.sim import Counter, Simulator
+        from repro.obs.metrics import Counter
+        from repro.sim import Simulator
 
         sim = Simulator()
-        c = Counter(sim, "x", record_history=True)
+        c = Counter("x", lambda: sim.now, record_history=True)
         sim.schedule(2.5, lambda: c.add(7))
         sim.run()
         assert c.history == [(2.5, 7.0)]

@@ -112,11 +112,23 @@ class TestDeterminism:
         assert json.dumps(s) == json.dumps(p)
 
     def test_wrapper_matches_runner(self):
-        from repro.experiments import fig2a
-
-        direct = fig2a(runs=2, duration=2.0, bers=[0.0, 1e-5])
+        direct = run_scenario("fig2a", {"runs": 2, "duration": 2.0, "bers": [0.0, 1e-5]})
         via_runner = Runner(jobs=2).run("fig2a", FAST_FIG2A).result
         assert [s.y for s in direct.series] == [s.y for s in via_runner.series]
+
+    def test_cells_run_under_the_context_layered_over_the_ambient_one(self):
+        from repro import audit
+        from repro.context import current_context
+
+        before = current_context()
+        with audit.audited() as auditors:
+            run = Runner(jobs=1, chaos="churn").run("fig2bc", {"duration": 5.0})
+            # the runner's chaos axis was layered over the ambient audit
+            # for each cell, then reset with its token
+            assert current_context().chaos is None
+        assert not run.failures
+        assert len(auditors) == run.stats.executed == 2
+        assert current_context() == before
 
     def test_trace_sinks_force_serial(self, tmp_path):
         # Global sinks live in this process; the runner must not fan out.
@@ -207,7 +219,7 @@ class FlakyScenario(Scenario):
 class TestFailures:
     def test_dead_seed_is_reported_not_fatal(self):
         metrics = MetricsRegistry()
-        run = Runner(metrics=metrics).run("test-flaky")
+        run = Runner(metrics=metrics, retries=1).run("test-flaky")
         # seed 2 failed (after a retry), seeds 1 and 3 survived
         assert run.result == {"values": [10, 30], "failed": 1}
         assert [f.seed for f in run.failures] == [2]
@@ -220,6 +232,11 @@ class TestFailures:
         assert run.stats.retries == 2
         assert run.stats.executed == 3
         assert metrics.counter("runner.failures").total == 1
+
+    def test_default_is_no_retry(self):
+        run = Runner().run("test-flaky", {"seeds": [2]})
+        assert run.failures[0].attempts == 1
+        assert run.stats.retries == 0
 
     def test_zero_retries_fails_immediately(self):
         run = Runner(retries=0).run("test-flaky", {"seeds": [2]})

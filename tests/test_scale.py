@@ -409,7 +409,7 @@ class TestFigxScaleScenario:
     def test_serial_and_parallel_fluid_runs_are_bit_identical(self):
         serial = Runner(jobs=1).run("figx_scale", FAST_SCALE)
         parallel = Runner(jobs=4).run("figx_scale", FAST_SCALE)
-        assert serial.spec.backend == "fluid"
+        assert serial.spec.axis("backend") == "fluid"
         assert serial.values == parallel.values
         s = [(s.label, s.x, s.y) for s in serial.result.series]
         p = [(s.label, s.x, s.y) for s in parallel.result.series]

@@ -15,9 +15,10 @@ import random
 
 import pytest
 
-from repro import strategy as strategy_mod
 from repro.bittorrent import ClientConfig, make_selector, selector_names
 from repro.bittorrent.swarm import SwarmScenario
+from repro.context import current_context
+from repro.runner import run_context
 from repro.runner.spec import ScenarioSpec, canonical_json, cell_digest
 from repro.strategy import (
     ClientStrategy,
@@ -33,7 +34,6 @@ from repro.strategy import (
     mix_is_default,
     normalize_mix,
     resolve_strategy,
-    strategic,
     strategy_names,
 )
 from repro.wp2p import WP2PClient, WP2PConfig
@@ -356,20 +356,19 @@ class TestSwarmAssignment:
         assert wireless.client.strategy_name == "freerider"
 
     def test_ambient_mix_round_trip(self):
-        assert not strategy_mod.mix_installed()
-        with strategic({"freerider": 1.0}) as mix:
-            assert strategy_mod.mix_installed()
-            assert mix == {"all": {"freerider": 1.0}}
+        assert current_context().strategies is None
+        with run_context(strategy_mix={"freerider": 1.0}) as context:
+            assert context.strategies == {"all": {"freerider": 1.0}}
             sc = SwarmScenario(seed=68, file_size=256 * 1024)
             leech = sc.add_wired_peer("l0")
             assert leech.client.strategy_name == "freerider"
-        assert not strategy_mod.mix_installed()
+        assert current_context().strategies is None
         sc = SwarmScenario(seed=68, file_size=256 * 1024)
         assert sc.add_wired_peer("l1").client.strategy_name == "reference"
 
     def test_default_mix_installs_nothing(self):
-        with strategic({"reference": 1.0}):
-            assert not strategy_mod.mix_installed()
+        with run_context(strategy_mix={"reference": 1.0}) as context:
+            assert context.strategies is None
 
     def test_config_overrides_copy_not_mutate(self):
         shared = ClientConfig(unchoke_slots=4)
@@ -445,14 +444,14 @@ class TestRunnerPlumbing:
     def test_runner_normalizes_reference_to_default(self):
         from repro.runner import Runner
 
-        assert Runner(strategy="reference").strategy_mix is None
-        assert Runner(strategy_mix={"reference": 1.0}).strategy_mix is None
+        assert Runner(strategy="reference").context.strategies is None
+        assert Runner(strategy_mix={"reference": 1.0}).context.strategies is None
 
     def test_runner_single_strategy_becomes_all_mix(self):
         from repro.runner import Runner
 
         runner = Runner(strategy="freerider")
-        assert runner.strategy_mix == {"all": {"freerider": 1.0}}
+        assert runner.context.strategies == {"all": {"freerider": 1.0}}
 
     def test_runner_rejects_unknown_strategy(self):
         from repro.runner import Runner
@@ -461,18 +460,18 @@ class TestRunnerPlumbing:
             Runner(strategy="bitthief")
 
     def test_cli_mix_parser_forms(self):
-        from repro.experiments.__main__ import _parse_strategy_mix
+        from repro.runner.axes import parse_strategy_mix
 
-        assert _parse_strategy_mix(None) is None
-        assert _parse_strategy_mix('{"freerider": 0.25}') == {"freerider": 0.25}
-        assert _parse_strategy_mix("freerider=0.25,tyrant=0.25") == {
+        assert parse_strategy_mix(None) is None
+        assert parse_strategy_mix('{"freerider": 0.25}') == {"freerider": 0.25}
+        assert parse_strategy_mix("freerider=0.25,tyrant=0.25") == {
             "freerider": 0.25, "tyrant": 0.25,
         }
-        assert _parse_strategy_mix("mobile:freerider=0.5") == {
+        assert parse_strategy_mix("mobile:freerider=0.5") == {
             "mobile": {"freerider": 0.5},
         }
         with pytest.raises(SystemExit):
-            _parse_strategy_mix("freerider")
+            parse_strategy_mix("freerider")
 
 
 # ----------------------------------------------------------------------
