@@ -27,13 +27,14 @@ field          read by                                         precedence
 Values are canonical (normalised and validated) and ``None`` means "not
 set".  Build contexts through :func:`repro.runner.run_context` or
 :class:`repro.runner.Runner`, which normalise their keywords through the
-axis table in :mod:`repro.runner.axes`; this module only stores them.
+axis table in :mod:`repro.runner.axes` (:func:`repro.audit.audited`
+sets the ``audit`` field itself); this module only stores them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar, Token
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, List, Mapping, Optional
 
@@ -69,21 +70,12 @@ def current_context() -> RunContext:
     return _CURRENT.get()
 
 
-def enter(overlay: RunContext) -> Token:
-    """Layer ``overlay`` over the current context; undo with :func:`leave`."""
-    return _CURRENT.set(overlay.over(_CURRENT.get()))
-
-
-def leave(token: Token) -> None:
-    """Restore the context that was current before :func:`enter`."""
-    _CURRENT.reset(token)
-
-
 @contextmanager
 def layered(overlay: RunContext) -> Iterator[RunContext]:
-    """Build everything inside the block under ``overlay``."""
-    token = enter(overlay)
+    """Build everything inside the block under ``overlay`` layered over
+    the current context; the previous context is restored on exit."""
+    token = _CURRENT.set(overlay.over(_CURRENT.get()))
     try:
         yield _CURRENT.get()
     finally:
-        leave(token)
+        _CURRENT.reset(token)

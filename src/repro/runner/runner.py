@@ -46,7 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..context import RunContext, enter, leave
+from ..context import RunContext, layered
 from ..obs.metrics import MetricsRegistry
 from ..obs import tracing
 from .axes import axis_values, cacheable, context_from
@@ -171,8 +171,7 @@ def _execute_cell(
     key = tuple(key_list)
     attempts = 0
     start = time.perf_counter()
-    token = enter(context)
-    try:
+    with layered(context):
         while True:
             attempts += 1
             try:
@@ -194,8 +193,6 @@ def _execute_cell(
                     key_list, seed, True, _canonical_value(value),
                     time.perf_counter() - start, attempts,
                 )
-    finally:
-        leave(token)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
