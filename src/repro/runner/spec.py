@@ -22,6 +22,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .axes import AXES
 
+
 def canonical_json(value: object) -> str:
     """Canonical JSON text for ``value`` (sorted keys, no whitespace).
 
