@@ -79,12 +79,15 @@ class ScenarioSpec:
     ) -> "ScenarioSpec":
         """Build a spec; ``axes`` are run-axis values keyed by axis name.
 
-        Each value is normalised (and validated) by its axis; axes that
-        fold into no digest (auditing) are not part of the spec.
+        The values must already be canonical, as a
+        :class:`~repro.context.RunContext` holds them (build one with
+        :func:`repro.runner.axes.context_from`, which validates).  Axes
+        left at their default, and axes that fold into no digest
+        (auditing), are not part of the spec.
         """
         folded: Dict[str, object] = {}
         for axis in AXES:
-            value = axis.normalize(axes.pop(axis.name, None))
+            value = axes.pop(axis.name, None)
             if axis.fold is not None and axis.is_set(value):
                 folded[axis.name] = value
         if axes:

@@ -59,8 +59,7 @@ class PeriodicTask:
     """Invoke a callback every ``interval`` seconds until stopped.
 
     The first invocation happens after ``first_delay`` (default: one full
-    interval).  The callback may call :meth:`stop` to end the series or
-    :meth:`set_interval` to change cadence from the next tick on.
+    interval).  The callback may call :meth:`stop` to end the series.
     """
 
     __slots__ = ("_sim", "_interval", "_callback", "_event", "_running")

@@ -135,7 +135,8 @@ class TestLegacySpellings:
         captured = capsys.readouterr()
         assert "Figure 2(b, c)" in captured.out
         assert f"[trace written to {trace}]" in captured.err
-        assert trace.read_text().strip()
+        lines = trace.read_text().strip().splitlines()
+        assert lines and all(json.loads(line) for line in lines)
 
     def test_trace_with_run_command_degrades_to_serial(self, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"

@@ -20,6 +20,7 @@ from repro.chaos.schedule import (
     TrackerOutage,
 )
 from repro.runner import BACKENDS, Runner, ScenarioSpec, get_scenario
+from repro.runner.axes import context_from
 from repro.runner.spec import canonical_json, cell_digest
 from repro.scale import (
     FluidParams,
@@ -381,7 +382,9 @@ class TestBackendKeying:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            ScenarioSpec.create("figx", {}, backend="quantum")
+            context_from(backend="quantum")
+        with pytest.raises(ValueError, match="unknown backend"):
+            Runner(backend="quantum")
 
     def test_scenarios_declare_their_backends(self):
         scale = get_scenario("figx_scale")
